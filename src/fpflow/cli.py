@@ -75,7 +75,7 @@ class ExperimentSpec:
             raise UsageError("record-every must be >= 1")
         if not 0.0 <= self.fit_transient_frac < 1.0:
             raise UsageError("fit-transient-frac must lie in [0, 1)")
-        if self.fit_floor < 0.0:
+        if not self.fit_floor >= 0.0:
             raise UsageError("fit-floor must be nonnegative")
         if not self.positivity_floor > 0.0:
             raise UsageError("positivity-floor must be positive")
@@ -154,10 +154,13 @@ _DEFAULTS = dict(
     mobility_ref="pi:standard", ic_ref="ic:gauss",
 )
 
-_INT_KEYS = {"dim", "n_cells", "n_steps", "record_every"}
-_FLOAT_KEYS = {"t_final", "fit_transient_frac", "fit_floor", "positivity_floor"}
-_STR_KEYS = {
-    "name", "boundary", "potential_ref", "diffusion_ref", "mobility_ref", "ic_ref", "out",
+# Config-file keys and the type each value is parsed as.
+_KEY_TYPES = {
+    **dict.fromkeys(("dim", "n_cells", "n_steps", "record_every"), int),
+    **dict.fromkeys(("t_final", "fit_transient_frac", "fit_floor", "positivity_floor"), float),
+    **dict.fromkeys(
+        ("name", "boundary", "potential_ref", "diffusion_ref", "mobility_ref", "ic_ref", "out"), str
+    ),
 }
 # Config files and flags use dashes and the short names of the refs.
 _KEY_ALIASES = {
@@ -182,14 +185,13 @@ def _parse_config_file(path: Path) -> dict:
         key = key.strip().replace("-", "_")
         key = _KEY_ALIASES.get(key, key)
         value = value.strip()
-        if key in _INT_KEYS:
-            out[key] = int(value)
-        elif key in _FLOAT_KEYS:
-            out[key] = float(value)
-        elif key in _STR_KEYS:
-            out[key] = value
-        else:
+        kind = _KEY_TYPES.get(key)
+        if kind is None:
             raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
+        try:
+            out[key] = kind(value)
+        except ValueError:
+            raise UsageError(f"{path}:{lineno}: invalid value {value!r} for {key}") from None
     return out
 
 
@@ -468,9 +470,8 @@ def _chk_equilibrium_residual() -> None:
     eq = equilibrium_state(pset, grid)
     mass = integrate(eq.density)
     assert abs(mass - 1.0) <= 1e-12, f"equilibrium mass defect {abs(mass - 1):.3e}"
-    D = pset.diffusion.on_grid(grid)
-    phi = pset.potential.on_grid(grid)
-    resid = float(np.max(np.abs(D * np.log(eq.density.values) + phi - eq.c1)))
+    disc = pset.discretize(grid)
+    resid = float(np.max(np.abs(disc.D * np.log(eq.density.values) + disc.phi - eq.c1)))
     assert resid <= 1e-12, f"equilibrium cell residual {resid:.3e}"
 
 

@@ -11,7 +11,8 @@ between cells L and R,
 
     u = -(mu_R - mu_L) / (pi_face * h),    mu_i = D_i log f_i + phi_i,
 
-with the arithmetic face mean of the cell mobilities.  Because mu is
+with the arithmetic face mean of the cell mobilities, as the solver
+reads them from :class:`~fpflow.params.Discretization`.  Because mu is
 constant at equilibrium cell-by-cell, the discrete velocity (and hence
 the dissipation) vanishes there to round-off, not merely to O(h^2).
 """
@@ -95,24 +96,23 @@ def _require_positive(values: np.ndarray, what: str) -> None:
 def free_energy(f: ScalarField, params: ParameterSet) -> float:
     """F[f] = integral of D f (log f - 1) + f phi over the box."""
     _require_positive(f.values, "free_energy")
-    grid = f.grid
-    D = params.diffusion.on_grid(grid)
-    phi = params.potential.on_grid(grid)
+    disc = params.discretize(f.grid)
     fv = f.values
-    return grid.cell_volume * float(np.sum(D * fv * (np.log(fv) - 1.0) + fv * phi))
+    density = disc.D * fv * (np.log(fv) - 1.0) + fv * disc.phi
+    return f.grid.cell_volume * float(np.sum(density))
 
 
 def velocity(f: ScalarField, params: ParameterSet, t: float) -> FaceField:
     """Face-centered transport velocity -grad(D log f + phi) / pi."""
     _require_positive(f.values, "velocity")
     grid = f.grid
-    mu = params.diffusion.on_grid(grid) * np.log(f.values) + params.potential.on_grid(grid)
-    pi = params.mobility.on_grid(grid, t)
+    disc = params.discretize(grid)
+    mu = disc.D * np.log(f.values) + disc.phi
+    pibar = disc.pibar(t)
     comps = []
     for axis in range(grid.dim):
         mu_l, mu_r = adjacent_cell_values(mu, axis, grid.boundary)
-        pi_l, pi_r = adjacent_cell_values(pi, axis, grid.boundary)
-        u = -(mu_r - mu_l) / (0.5 * (pi_l + pi_r) * grid.h)
+        u = -(mu_r - mu_l) / (pibar[axis] * grid.h)
         comps.append(embed_interior_faces(u, grid, axis))
     return FaceField(grid, tuple(comps))
 
@@ -126,7 +126,7 @@ def dissipation(f: ScalarField, params: ParameterSet, t: float) -> float:
     """
     grid = f.grid
     u = velocity(f, params, t)
-    pi = params.mobility.on_grid(grid, t)
+    pi = params.discretize(grid).pi(t)
     usq = np.zeros(grid.shape)
     for axis in range(grid.dim):
         usq += cell_mean_square_of_faces(u, axis)
@@ -136,10 +136,9 @@ def dissipation(f: ScalarField, params: ParameterSet, t: float) -> float:
 def relative_entropy(f: ScalarField, eq: "EquilibriumState", params: ParameterSet) -> float:
     """D-weighted relative entropy of f against the equilibrium density."""
     _require_positive(f.values, "relative_entropy")
-    grid = f.grid
-    D = params.diffusion.on_grid(grid)
+    D = params.discretize(f.grid).D
     ratio = np.log(f.values) - np.log(eq.density.values)
-    return grid.cell_volume * float(np.sum(D * f.values * ratio))
+    return f.grid.cell_volume * float(np.sum(D * f.values * ratio))
 
 
 def ckp_check(f: ScalarField, eq: "EquilibriumState") -> CKPReport:
@@ -168,7 +167,7 @@ def max_principle_envelope(
     """
     _require_positive(f0.values, "max_principle_envelope")
     grid = f0.grid
-    D = params.diffusion.on_grid(grid)
+    D = params.discretize(grid).D
     feq = eq.density.values
     h0 = D * (np.log(f0.values) - np.log(feq))
     lo, hi = float(np.min(h0)), float(np.max(h0))
@@ -247,12 +246,13 @@ def second_derivative_identity(
     lhs = (F2 - 2.0 * F1 + F0) / dt**2
 
     grid = f.grid
-    D = params.diffusion.on_grid(grid)
+    disc = params.discretize(grid)
+    D = disc.D
+    pi = disc.pi(t)
     if regime is Regime.HOMOGENEOUS:
         _check_constant(D, "constant diffusion", regime)
     if regime in (Regime.HOMOGENEOUS, Regime.INHOMOGENEOUS_D):
-        for probe_t in (t, t + 0.37):
-            pi_probe = params.mobility.on_grid(grid, probe_t)
+        for pi_probe in (pi, params.mobility.on_grid(grid, t + 0.37)):
             if float(np.max(np.abs(pi_probe - 1.0))) > 1e-12:
                 raise ValueError(
                     f"regime {regime.value!r} requires unit mobility, which does not hold"
@@ -264,7 +264,6 @@ def second_derivative_identity(
     phi_grad = params.potential.gradient_on_grid(grid)
     phi_hess = params.potential.hessian_on_grid(grid)
     D_grad = params.diffusion.gradient_on_grid(grid)
-    pi = params.mobility.on_grid(grid, t)
 
     u = velocity(f, params, t)
     dim = grid.dim

@@ -17,7 +17,7 @@ import numpy as np
 
 from .diagnostics import free_energy
 from .grid import ScalarField, TensorGrid
-from .params import ParameterSet
+from .params import Discretization, ParameterSet
 
 _BRACKET = 1000.0
 
@@ -31,21 +31,17 @@ class EquilibriumState:
     free_energy: float
 
 
-def _mass(c1: float, phi: np.ndarray, D: np.ndarray, cell_volume: float) -> float:
+def _mass(c1: float, disc: Discretization) -> float:
     with np.errstate(over="ignore"):
-        return cell_volume * float(np.sum(np.exp((c1 - phi) / D)))
+        return disc.grid.cell_volume * float(np.sum(np.exp((c1 - disc.phi) / disc.D)))
 
 
 def solve_normalization(params: ParameterSet, grid: TensorGrid) -> float:
     """Bisect for the constant C1 that gives the equilibrium unit mass."""
-    phi = params.potential.on_grid(grid)
-    D = params.diffusion.on_grid(grid)
-    if np.any(D <= 0.0):
-        raise ValueError("diffusion must be positive to define an equilibrium")
-
+    disc = params.discretize(grid)
     lo, hi = -_BRACKET, _BRACKET
-    m_lo = _mass(lo, phi, D, grid.cell_volume)
-    m_hi = _mass(hi, phi, D, grid.cell_volume)
+    m_lo = _mass(lo, disc)
+    m_hi = _mass(hi, disc)
     if not (m_lo < 1.0 < m_hi):
         raise ValueError(
             "equilibrium normalization constant does not bracket in "
@@ -55,24 +51,23 @@ def solve_normalization(params: ParameterSet, grid: TensorGrid) -> float:
     # mass check guards the quadrature tolerance rather than the interval.
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if _mass(mid, phi, D, grid.cell_volume) < 1.0:
+        if _mass(mid, disc) < 1.0:
             lo = mid
         else:
             hi = mid
         if hi - lo <= 1e-15 * max(1.0, abs(mid)):
             break
     c1 = 0.5 * (lo + hi)
-    if abs(_mass(c1, phi, D, grid.cell_volume) - 1.0) > 1e-13:
+    if abs(_mass(c1, disc) - 1.0) > 1e-13:
         raise ValueError("equilibrium normalization failed to reach tolerance")
     return c1
 
 
 def equilibrium_state(params: ParameterSet, grid: TensorGrid) -> EquilibriumState:
     """Solve for C1 and build the (unrenormalized) equilibrium density."""
-    phi = params.potential.on_grid(grid)
-    D = params.diffusion.on_grid(grid)
+    disc = params.discretize(grid)
     c1 = solve_normalization(params, grid)
-    density = ScalarField(grid, np.exp((c1 - phi) / D))
+    density = ScalarField(grid, np.exp((c1 - disc.phi) / disc.D))
     return EquilibriumState(
         density=density, c1=c1, free_energy=free_energy(density, params)
     )

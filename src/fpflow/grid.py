@@ -213,43 +213,33 @@ def face_gradient(field: ScalarField) -> FaceField:
 
 def face_divergence(flux: FaceField) -> np.ndarray:
     """Cell-wise divergence of a face field: sum_d (J_upper - J_lower)/h."""
-    grid = flux.grid
-    out = np.zeros(grid.shape)
-    for axis in range(grid.dim):
-        comp = flux.components[axis]
-        if grid.boundary is Boundary.PERIODIC:
-            out += (np.roll(comp, -1, axis=axis) - comp) / grid.h
-        else:
-            out += np.diff(comp, axis=axis) / grid.h
+    out = np.zeros(flux.grid.shape)
+    for axis in range(flux.grid.dim):
+        out += face_difference_at_cells(flux, axis)
     return out
+
+
+def _cell_faces(flux: FaceField, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """(lower, upper) face values of ``axis`` at each cell."""
+    comp = flux.components[axis]
+    if flux.grid.boundary is Boundary.PERIODIC:
+        return comp, np.roll(comp, -1, axis=axis)
+    return adjacent_cell_values(comp, axis, Boundary.NOFLUX)
 
 
 def cell_average_of_faces(flux: FaceField, axis: int) -> np.ndarray:
     """Average of the two adjacent face values of ``axis`` at each cell."""
-    grid = flux.grid
-    comp = flux.components[axis]
-    if grid.boundary is Boundary.PERIODIC:
-        return 0.5 * (comp + np.roll(comp, -1, axis=axis))
-    lo = comp[_axis_slice(grid.dim, axis, slice(None, -1))]
-    hi = comp[_axis_slice(grid.dim, axis, slice(1, None))]
+    lo, hi = _cell_faces(flux, axis)
     return 0.5 * (lo + hi)
 
 
 def cell_mean_square_of_faces(flux: FaceField, axis: int) -> np.ndarray:
     """Average of the squares of the two adjacent face values at each cell."""
-    grid = flux.grid
-    comp = flux.components[axis]
-    if grid.boundary is Boundary.PERIODIC:
-        return 0.5 * (comp**2 + np.roll(comp, -1, axis=axis) ** 2)
-    lo = comp[_axis_slice(grid.dim, axis, slice(None, -1))]
-    hi = comp[_axis_slice(grid.dim, axis, slice(1, None))]
+    lo, hi = _cell_faces(flux, axis)
     return 0.5 * (lo**2 + hi**2)
 
 
 def face_difference_at_cells(flux: FaceField, axis: int) -> np.ndarray:
     """(upper face - lower face)/h at each cell: the derivative d(u_axis)/d(x_axis)."""
-    grid = flux.grid
-    comp = flux.components[axis]
-    if grid.boundary is Boundary.PERIODIC:
-        return (np.roll(comp, -1, axis=axis) - comp) / grid.h
-    return np.diff(comp, axis=axis) / grid.h
+    lo, hi = _cell_faces(flux, axis)
+    return (hi - lo) / flux.grid.h

@@ -52,11 +52,11 @@ def build_linear_operator(params: ParameterSet, grid: TensorGrid) -> DenseOperat
     n = grid.n_total
     if n > _MAX_CELLS:
         raise ValueError(f"dense operator limited to {_MAX_CELLS} cells, grid has {n}")
-    D = params.diffusion.on_grid(grid)
+    disc = params.discretize(grid)
+    D = disc.D
     if float(np.max(D) - np.min(D)) > 1e-14 * float(np.max(np.abs(D))):
         raise ValueError("build_linear_operator requires constant diffusion")
-    for probe_t in (0.0, 0.37):
-        pi = params.mobility.on_grid(grid, probe_t)
+    for pi in (disc.pi(0.0), params.mobility.on_grid(grid, 0.37)):
         if float(np.max(np.abs(pi - 1.0))) > 1e-14:
             raise ValueError("build_linear_operator requires unit mobility")
 

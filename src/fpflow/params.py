@@ -18,12 +18,17 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .grid import ScalarField, TensorGrid
+from .grid import ScalarField, TensorGrid, adjacent_cell_values
 
 
 def _full(grid: TensorGrid, arr) -> np.ndarray:
     """Broadcast an evaluator result to a full, writable grid-shaped array."""
     return np.broadcast_to(np.asarray(arr, dtype=float), grid.shape).copy()
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
 
 @dataclass(frozen=True)
@@ -120,6 +125,74 @@ class ParameterSet:
     diffusion: DiffusionField
     mobility: MobilityField
     name: str = "problem"
+    _discretizations: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def discretize(self, grid: TensorGrid) -> "Discretization":
+        """The coefficients discretized on ``grid``, built once and kept with self."""
+        if grid not in self._discretizations:
+            self._discretizations[grid] = Discretization(grid, self)
+        return self._discretizations[grid]
+
+
+class Discretization:
+    """One parameter set's coefficients on one grid; all arrays read-only.
+
+    The one home of the discretization rule: cells carry the midpoint
+    values phi, D and pi, and a face carries the arithmetic mean of D and
+    of pi over its two cells.  The solver's flux and the diagnostics'
+    velocity both read it here, which keeps the discrete equilibrium an
+    exact fixed point with zero dissipation.  Per axis, over the faces
+    :func:`~fpflow.grid.adjacent_cell_values` pairs: ``dphi``, ``dD``
+    (right minus left), ``Dbar`` and the flat cell indices ``l_idx``,
+    ``r_idx``.
+    """
+
+    def __init__(self, grid: TensorGrid, params: ParameterSet):
+        self.grid = grid
+        self.mobility = params.mobility
+        self.phi = _read_only(params.potential.on_grid(grid))
+        self.D = _read_only(params.diffusion.on_grid(grid))
+        if np.any(self.D <= 0.0):
+            raise ValueError("diffusion must be positive on the grid")
+        idx = np.arange(grid.n_total).reshape(grid.shape)
+        faces = []
+        for axis in range(grid.dim):
+            phi_l, phi_r = adjacent_cell_values(self.phi, axis, grid.boundary)
+            d_l, d_r = adjacent_cell_values(self.D, axis, grid.boundary)
+            l_idx, r_idx = adjacent_cell_values(idx, axis, grid.boundary)
+            faces.append((
+                phi_r - phi_l, d_r - d_l, 0.5 * (d_l + d_r), l_idx.ravel(), r_idx.ravel()
+            ))
+        self.dphi, self.dD, self.Dbar, self.l_idx, self.r_idx = (
+            tuple(_read_only(arr) for arr in column) for column in zip(*faces)
+        )
+        self._mobility_cache: Optional[tuple[float, np.ndarray, tuple[np.ndarray, ...]]] = None
+
+    def _mobility_at(self, t: float) -> tuple[float, np.ndarray, tuple[np.ndarray, ...]]:
+        cached = self._mobility_cache
+        if cached is None or t != cached[0]:
+            pi = _read_only(self.mobility.on_grid(self.grid, t))
+            if np.any(pi <= 0.0):
+                raise ValueError(f"mobility must be positive on the grid at t = {t}")
+            pibar = []
+            for axis in range(self.grid.dim):
+                pi_l, pi_r = adjacent_cell_values(pi, axis, self.grid.boundary)
+                pibar.append(_read_only(0.5 * (pi_l + pi_r)))
+            # Replaced whole, never updated in place, so that concurrent
+            # readers always see the pi and pibar of one time.
+            cached = (t, pi, tuple(pibar))
+            self._mobility_cache = cached
+        return cached
+
+    def pi(self, t: float) -> np.ndarray:
+        """Cell values of the mobility at time t."""
+        return self._mobility_at(t)[1]
+
+    def pibar(self, t: float) -> tuple[np.ndarray, ...]:
+        """Per-axis face means of the mobility at time t."""
+        return self._mobility_at(t)[2]
 
 
 @dataclass(frozen=True)
@@ -455,8 +528,8 @@ def preset_gaussian_ic(
     and with an inhomogeneous diffusion coefficient such jumps put the
     implicit solver's Newton iteration outside its convergence basin.
     """
-    if variance <= 0.0:
-        raise ValueError("variance must be positive")
+    if not 0.0 < variance < np.inf:
+        raise ValueError(f"variance must be positive and finite, got {variance}")
     if floor_rel < 0.0 or floor_rel >= 1.0:
         raise ValueError("floor_rel must lie in [0, 1)")
     s2 = float(variance)

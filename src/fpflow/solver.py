@@ -37,15 +37,15 @@ from scipy.sparse.linalg import splu
 from .diagnostics import dissipation, free_energy
 from .equilibrium import equilibrium_state
 from .grid import (
-    Boundary,
     FaceField,
     ScalarField,
     TensorGrid,
     adjacent_cell_values,
     embed_interior_faces,
+    face_divergence,
     integrate,
 )
-from .params import ParameterSet
+from .params import Discretization, ParameterSet
 
 
 class NonConvergence(RuntimeError):
@@ -185,100 +185,44 @@ def _bernoulli_prime(x: np.ndarray) -> np.ndarray:
     return out
 
 
-class _StepWorkspace:
-    """Face-static data for one (grid, params) pair, shared across steps."""
-
-    def __init__(self, grid: TensorGrid, params: ParameterSet):
-        self.grid = grid
-        self.params = params
-        self.phi = params.potential.on_grid(grid)
-        self.D = params.diffusion.on_grid(grid)
-        if np.any(self.D <= 0.0):
-            raise ValueError("diffusion must be positive on the grid")
-        idx = np.arange(grid.n_total).reshape(grid.shape)
-        self.axes = []
-        for axis in range(grid.dim):
-            phi_l, phi_r = adjacent_cell_values(self.phi, axis, grid.boundary)
-            d_l, d_r = adjacent_cell_values(self.D, axis, grid.boundary)
-            l_idx, r_idx = adjacent_cell_values(idx, axis, grid.boundary)
-            self.axes.append(
-                {
-                    "dphi": phi_r - phi_l,
-                    "dD": d_r - d_l,
-                    "Dbar": 0.5 * (d_l + d_r),
-                    "l_idx": l_idx.ravel(),
-                    "r_idx": r_idx.ravel(),
-                }
-            )
-        self._pibar_t: Optional[float] = None
-        self._pibar: list[np.ndarray] = []
-
-    def pibar(self, t: float) -> list[np.ndarray]:
-        """Arithmetic face means of the mobility at time t (cached per t)."""
-        if self._pibar_t is None or t != self._pibar_t:
-            pi = self.params.mobility.on_grid(self.grid, t)
-            if np.any(pi <= 0.0):
-                raise ValueError(f"mobility must be positive on the grid at t = {t}")
-            self._pibar = []
-            for axis in range(self.grid.dim):
-                pi_l, pi_r = adjacent_cell_values(pi, axis, self.grid.boundary)
-                self._pibar.append(0.5 * (pi_l + pi_r))
-            self._pibar_t = t
-        return self._pibar
-
-
 def _face_quantities(
-    ws: _StepWorkspace, f: np.ndarray, t: float, derivatives: bool
+    disc: Discretization, f: np.ndarray, t: float, derivatives: bool
 ) -> list[dict]:
     """Per-axis interior-face flux J and, optionally, dJ/df_L and dJ/df_R."""
-    grid = ws.grid
+    grid = disc.grid
     logf = np.log(f)
-    pibars = ws.pibar(t)
+    faces = zip(disc.dphi, disc.dD, disc.Dbar, disc.pibar(t))
     out = []
-    for axis in range(grid.dim):
-        ax = ws.axes[axis]
+    for axis, (dphi, dD, dbar, pibar) in enumerate(faces):
         f_l, f_r = adjacent_cell_values(f, axis, grid.boundary)
         lf_l, lf_r = adjacent_cell_values(logf, axis, grid.boundary)
-        dbar = ax["Dbar"]
-        a = -(ax["dphi"] + 0.5 * (lf_l + lf_r) * ax["dD"]) / dbar
-        coef = dbar / (pibars[axis] * grid.h)
+        a = -(dphi + 0.5 * (lf_l + lf_r) * dD) / dbar
+        coef = dbar / (pibar * grid.h)
         b_m = _bernoulli(-a)
         b_p = _bernoulli(a)
         q = {"J": coef * (b_m * f_l - b_p * f_r)}
         if derivatives:
             s = f_l * _bernoulli_prime(-a) + f_r * _bernoulli_prime(a)
-            a_l = -ax["dD"] / (2.0 * dbar * f_l)
-            a_r = -ax["dD"] / (2.0 * dbar * f_r)
+            a_l = -dD / (2.0 * dbar * f_l)
+            a_r = -dD / (2.0 * dbar * f_r)
             q["dJ_dfl"] = coef * (b_m - a_l * s)
             q["dJ_dfr"] = coef * (-b_p - a_r * s)
         out.append(q)
     return out
 
 
-def _interior_divergence(grid: TensorGrid, quantities: list[dict]) -> np.ndarray:
-    div = np.zeros(grid.shape)
-    h = grid.h
-    for axis in range(grid.dim):
-        j = quantities[axis]["J"]
-        if grid.boundary is Boundary.PERIODIC:
-            div += (np.roll(j, -1, axis=axis) - j) / h
-        else:
-            full = embed_interior_faces(j, grid, axis)
-            div += np.diff(full, axis=axis) / h
-    return div
+def _flux_field(grid: TensorGrid, quantities: list[dict]) -> FaceField:
+    return FaceField(grid, tuple(
+        embed_interior_faces(q["J"], grid, axis) for axis, q in enumerate(quantities)
+    ))
 
 
 def assemble_flux(f: ScalarField, params: ParameterSet, t: float) -> FaceField:
     """Exponential-fitted face flux of the density f at time t."""
     if np.any(f.values <= 0.0):
         raise ValueError("assemble_flux requires a strictly positive density")
-    ws = _StepWorkspace(f.grid, params)
-    quantities = _face_quantities(ws, f.values, t, derivatives=False)
-    comps = tuple(
-        embed_interior_faces(quantities[axis]["J"], f.grid, axis)
-        for axis in range(f.grid.dim)
-    )
-    return FaceField(f.grid, comps)
+    quantities = _face_quantities(params.discretize(f.grid), f.values, t, derivatives=False)
+    return _flux_field(f.grid, quantities)
 
 
 # ----------------------------------------------------------------------
@@ -286,13 +230,13 @@ def assemble_flux(f: ScalarField, params: ParameterSet, t: float) -> FaceField:
 # ----------------------------------------------------------------------
 
 def _newton_solve(
-    ws: _StepWorkspace,
+    disc: Discretization,
     f_old: np.ndarray,
     t_new: float,
     dt: float,
     config: SolverConfig,
 ) -> np.ndarray:
-    grid = ws.grid
+    grid = disc.grid
     n = grid.n_total
     scale = max(1.0, float(np.max(np.abs(f_old))))
     tol_abs = config.newton_tol * scale
@@ -305,8 +249,8 @@ def _newton_solve(
     polishing = False
     rnorm = np.inf
     for it in range(config.newton_max_iters + 1):
-        quantities = _face_quantities(ws, f, t_new, derivatives=True)
-        residual = f - f_old + dt * _interior_divergence(grid, quantities)
+        quantities = _face_quantities(disc, f, t_new, derivatives=True)
+        residual = f - f_old + dt * face_divergence(_flux_field(grid, quantities))
         rnorm = float(np.max(np.abs(residual)))
         if rnorm <= roundoff:
             return f
@@ -325,10 +269,7 @@ def _newton_solve(
             )
 
         rows, cols, data = [diag_idx], [diag_idx], [ones]
-        for axis in range(grid.dim):
-            q = quantities[axis]
-            l_idx = ws.axes[axis]["l_idx"]
-            r_idx = ws.axes[axis]["r_idx"]
+        for q, l_idx, r_idx in zip(quantities, disc.l_idx, disc.r_idx):
             jl = (c * q["dJ_dfl"]).ravel()
             jr = (c * q["dJ_dfr"]).ravel()
             # The face flux is the upper flux of cell L (+J/h in its
@@ -365,8 +306,8 @@ def backward_euler_step(
         raise ValueError(f"step size must be positive, got {dt}")
     if np.any(f_old.values <= 0.0):
         raise ValueError("backward_euler_step requires a strictly positive start")
-    ws = _StepWorkspace(f_old.grid, params)
-    return ScalarField(f_old.grid, _newton_solve(ws, f_old.values, t_new, dt, config))
+    disc = params.discretize(f_old.grid)
+    return ScalarField(f_old.grid, _newton_solve(disc, f_old.values, t_new, dt, config))
 
 
 def run(
@@ -392,7 +333,7 @@ def run(
         raise ValueError(f"initial datum must carry unit mass, got {mass0!r}")
 
     eq = equilibrium_state(params, grid)
-    ws = _StepWorkspace(grid, params)
+    disc = params.discretize(grid)
     dt = config.t_final / config.n_steps
 
     rows = {name: [] for name in _TRACE_COLUMNS}
@@ -413,7 +354,7 @@ def run(
     for k in range(1, config.n_steps + 1):
         t_new = k * dt
         try:
-            f = _newton_solve(ws, f, t_new, dt, config)
+            f = _newton_solve(disc, f, t_new, dt, config)
         except (NonConvergence, PositivityLoss) as exc:
             raise type(exc)(f"step {k} (t = {t_new:.6g}): {exc}") from None
         if on_step is not None:

@@ -136,6 +136,9 @@ def test_dimension_limited_preset_is_a_usage_error(tmp_path, capsys):
         ["--name", "a/b"],
         ["--fit-transient-frac", "1.0"],
         ["--fit-floor", "-1"],
+        ["--fit-floor", "nan"],
+        ["--ic", "ic:gauss-vnan"],
+        ["--ic", "ic:gauss-vinf"],
         ["--positivity-floor", "0"],
         ["--record-every", "0"],
     ],
@@ -210,6 +213,7 @@ def test_flags_override_config_file(tmp_path, capsys):
     [
         ("wibble = 3\n", "unknown config key"),
         ("just some words\n", "key=value"),
+        ("n-steps = 4\ndim = 1.5\n", "bad.cfg:2: invalid value '1.5' for dim"),
     ],
 )
 def test_malformed_config_exits_2(tmp_path, capsys, content, fragment):
@@ -366,6 +370,15 @@ def test_verify_fast_passes(capsys):
     assert "verify[fast]: 16/16 checks passed" in out
     assert out.count("PASS ") == 16
     assert "FAIL" not in out
+
+
+def test_verify_full_passes(capsys):
+    code, out, _ = run_cli(capsys, ["verify", "full"])
+    assert code == 0
+    assert "verify[full]: 21/21 checks passed" in out
+    for name in ("mass-conservation-2d", "mass-conservation-3d", "step-refinement",
+                 "identity-ladder", "refined-functional"):
+        assert f"PASS {name}" in out
 
 
 def test_verify_catches_a_broken_flux_kernel(capsys, monkeypatch):

@@ -7,13 +7,18 @@ differences at random points.  The even symmetry asserted here is also
 what makes the periodic and no-flux runs of the bundled experiments agree.
 """
 
+import weakref
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from fpflow import (
     Boundary,
     PresetNotFound,
+    SolverConfig,
     build_grid,
+    build_linear_operator,
     integrate,
     preset_diffusion_homogeneous,
     preset_diffusion_multimode,
@@ -24,6 +29,7 @@ from fpflow import (
     preset_potential,
     preset_potential_1d,
     preset_potential_quadratic,
+    run,
 )
 from fpflow.params import (
     ParameterSet,
@@ -34,6 +40,7 @@ from fpflow.params import (
     known_presets,
     preset_equilibrium_ic,
 )
+from tests.conftest import build_parameter_set
 
 FD_STEP = 1e-6
 FD_TOL = 5e-8
@@ -279,6 +286,75 @@ def test_preset_coefficients_are_even(dim):
 
 
 # ----------------------------------------------------------------------
+# Discretization: coefficients evaluated once per (grid, parameter set)
+# ----------------------------------------------------------------------
+
+
+def counting(pset):
+    """A copy of pset whose evaluators record the arguments of every call."""
+    calls = {"potential": [], "diffusion": [], "mobility": []}
+
+    def wrap(kind, evaluate):
+        def counted(*args):
+            calls[kind].append(args)
+            return evaluate(*args)
+
+        return counted
+
+    fields = {
+        kind: replace(getattr(pset, kind), evaluate=wrap(kind, getattr(pset, kind).evaluate))
+        for kind in calls
+    }
+    return ParameterSet(**fields, name=pset.name), calls
+
+
+def test_run_evaluates_static_coefficients_once_and_mobility_once_per_time():
+    grid = build_grid(1, 32, Boundary.PERIODIC)
+    pset, calls = counting(build_parameter_set(1, "D:single", 32))
+    f0 = preset_gaussian_ic(1, variance=0.05).build(grid)
+    run(f0, pset, SolverConfig(t_final=0.5, n_steps=20))
+    assert len(calls["potential"]) == 1
+    assert len(calls["diffusion"]) == 1
+    times = [args[-1] for args in calls["mobility"]]
+    assert len(times) == 21 and len(set(times)) == 21
+
+
+def test_linear_operator_evaluates_static_coefficients_once():
+    grid = build_grid(1, 32, Boundary.PERIODIC)
+    pset, calls = counting(build_parameter_set(1, "D:homogeneous", 32, mobility_ref="pi:unit"))
+    build_linear_operator(pset, grid)
+    assert len(calls["potential"]) == 1
+    assert len(calls["diffusion"]) == 1
+    assert [args[-1] for args in calls["mobility"]] == [0.0, 0.37]
+
+
+@pytest.mark.parametrize("boundary", [Boundary.PERIODIC, Boundary.NOFLUX])
+def test_discretization_is_memoized_and_read_only(boundary):
+    pset = build_parameter_set(2, "D:single", 6)
+    disc = pset.discretize(build_grid(2, 6, boundary))
+    assert pset.discretize(build_grid(2, 6, boundary)) is disc
+    arrays = [disc.phi, disc.D, disc.pi(0.3), *disc.pibar(0.3)]
+    for name in ("dphi", "dD", "Dbar", "l_idx", "r_idx"):
+        arrays.extend(getattr(disc, name))
+    for arr in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 0
+    # No reference cycle: the memo goes with its parameter set, at once.
+    alive = weakref.ref(disc)
+    del pset, disc
+    assert alive() is None
+
+
+def test_discretized_parameter_set_keeps_equality_hash_and_repr():
+    a = build_parameter_set(1, "D:single", 16)
+    b = ParameterSet(a.potential, a.diffusion, a.mobility, name=a.name)
+    before = repr(a)
+    a.discretize(build_grid(1, 16, Boundary.PERIODIC))
+    assert a == b and hash(a) == hash(b)
+    assert repr(a) == before == repr(b)
+
+
+# ----------------------------------------------------------------------
 # Initial conditions
 # ----------------------------------------------------------------------
 
@@ -317,6 +393,8 @@ def test_gaussian_ic_floor_lifts_tail():
 def test_gaussian_ic_validation():
     with pytest.raises(ValueError):
         preset_gaussian_ic(1, variance=0.0)
+    with pytest.raises(ValueError, match="finite"):
+        preset_gaussian_ic(1, variance=float("nan"))
     with pytest.raises(ValueError):
         preset_gaussian_ic(1, floor_rel=-0.1)
     with pytest.raises(ValueError):
