@@ -67,8 +67,8 @@ class ExperimentSpec:
             raise UsageError(f"n-cells must be >= 2, got {self.n_cells}")
         if self.n_steps < 1:
             raise UsageError(f"n-steps must be >= 1, got {self.n_steps}")
-        if not self.t_final > 0.0:
-            raise UsageError(f"t-final must be positive, got {self.t_final}")
+        if not 0.0 < self.t_final < np.inf:
+            raise UsageError(f"t-final must be positive and finite, got {self.t_final}")
         if self.boundary not in ("periodic", "noflux", "both"):
             raise UsageError(f"boundary must be periodic, noflux or both, got {self.boundary!r}")
         if self.record_every < 1:
@@ -249,15 +249,23 @@ def _materialize(spec: ExperimentSpec, boundary: str):
         diffusion = params_mod.get_diffusion(spec.diffusion_ref, spec.dim, spec.n_cells)
         mobility = params_mod.get_mobility(spec.mobility_ref, spec.dim, spec.n_cells)
         ic = params_mod.get_initial_condition(spec.ic_ref, spec.dim)
+        f0 = None if ic.build is None else ic.build(grid)
     except PresetNotFound as exc:
         raise UsageError(str(exc.args[0])) from None
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     pset = ParameterSet(potential, diffusion, mobility, name=spec.name)
-    if ic.build is None:
+    if f0 is None:
         f0 = equilibrium_state(pset, grid).density
-    else:
-        f0 = ic.build(grid)
+    # The solver lifts the initial datum to the floor and then requires
+    # unit mass; a floor too large for that is a bad flag, not a crash.
+    with np.errstate(over="ignore"):
+        mass = grid.cell_volume * float(np.sum(np.maximum(f0.values, spec.positivity_floor)))
+    if not abs(mass - 1.0) <= 1e-6:
+        raise UsageError(
+            f"positivity-floor {spec.positivity_floor!r} lifts the initial datum "
+            f"to mass {mass!r}; it must stay 1"
+        )
     config = SolverConfig(
         t_final=spec.t_final, n_steps=spec.n_steps, record_every=spec.record_every,
         positivity_floor=spec.positivity_floor,

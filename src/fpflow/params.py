@@ -544,7 +544,12 @@ def preset_gaussian_ic(
         vals = _full(grid, vals / (2.0 * np.pi * s2) ** (dim / 2.0))
         if floor_rel > 0.0:
             vals = np.maximum(vals, floor_rel * vals.max())
-        vals /= grid.cell_volume * np.sum(vals)
+        mass = grid.cell_volume * np.sum(vals)
+        if not 0.0 < mass < np.inf:
+            raise ValueError(
+                f"variance {variance:g} is not resolvable on this grid (discrete mass {mass})"
+            )
+        vals /= mass
         return ScalarField(grid, vals)
 
     reg = "-reg" if floor_rel > 0.0 else ""

@@ -23,6 +23,26 @@ a damped Newton iteration with the exact sparse Jacobian.  After the
 residual first passes the tolerance one extra ("polishing") iteration
 runs, which parks the per-step mass defect at round-off instead of at
 Newton-tolerance level.
+
+The Newton system J delta = -R is solved by sparse LU (SuperLU) in 1D and
+2D, and by BiCGSTAB with a Jacobi (diagonal) preconditioner in 3D.  The
+LU factors of the seven-point 3D Jacobian fill in heavily (9.6 million
+L+U nonzeros for 20^3 periodic cells) and the factorization took over 90%
+of a 3D run; in 1D and 2D the direct solve measured faster.  Three
+details make the Krylov update as good as the direct one:
+
+- The right-hand side is divided by its max-norm before the call and the
+  solution multiplied back after it.  BiCGSTAB's breakdown thresholds are
+  absolute, so the tiny right-hand sides of the polishing iterations
+  would otherwise end it early.
+- The solve runs to a 1e-13 relative residual and its remaining mass
+  error is then removed exactly.  Every Jacobian column sums to one, so
+  the exact update carries the mass of the right-hand side; the
+  difference is added back in proportion to the current iterate.  That
+  weighting moves a near-empty cell only in proportion to its content,
+  where a uniform shift pushes cells of size 1e-21 negative.
+- Should BiCGSTAB still fail (nonzero ``info``), the step falls back to
+  the direct solve.
 """
 
 from __future__ import annotations
@@ -32,7 +52,7 @@ from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import bicgstab, splu
 
 from .diagnostics import dissipation, free_energy
 from .equilibrium import equilibrium_state
@@ -68,8 +88,8 @@ class SolverConfig:
     record_every: int = 1
 
     def __post_init__(self) -> None:
-        if not self.t_final > 0.0:
-            raise ValueError(f"t_final must be positive, got {self.t_final}")
+        if not 0.0 < self.t_final < np.inf:
+            raise ValueError(f"t_final must be positive and finite, got {self.t_final}")
         if self.n_steps < 1:
             raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
         if not 0.0 < self.newton_tol < 1.0:
@@ -281,7 +301,8 @@ def _newton_solve(
             (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
             shape=(n, n),
         ).tocsc()
-        delta = splu(jac).solve(-residual.ravel()).reshape(grid.shape)
+        delta = _linear_solve(jac, -residual.ravel(), f.ravel(), grid.dim)
+        delta = delta.reshape(grid.shape)
 
         lam = 1.0
         while np.any(f + lam * delta <= 0.0):
@@ -292,6 +313,22 @@ def _newton_solve(
                 )
         f = f + lam * delta
     raise NonConvergence(f"Newton residual {rnorm:.3e}")  # pragma: no cover
+
+
+def _linear_solve(
+    jac: sp.csc_matrix, rhs: np.ndarray, f: np.ndarray, dim: int
+) -> np.ndarray:
+    """Solve jac @ x = rhs: BiCGSTAB in 3D, SuperLU otherwise or on failure."""
+    if dim == 3:
+        norm = float(np.max(np.abs(rhs)))
+        x, info = bicgstab(
+            jac, rhs / norm, rtol=1e-13, atol=0.0, M=sp.diags(1.0 / jac.diagonal())
+        )
+        if info == 0:
+            x *= norm
+            x += f * ((rhs.sum() - x.sum()) / f.sum())
+            return x
+    return splu(jac).solve(rhs)
 
 
 def backward_euler_step(

@@ -133,13 +133,17 @@ def test_dimension_limited_preset_is_a_usage_error(tmp_path, capsys):
         ["--n-cells", "1"],
         ["--n-steps", "0"],
         ["--t-final", "0"],
+        ["--t-final", "inf"],
         ["--name", "a/b"],
         ["--fit-transient-frac", "1.0"],
         ["--fit-floor", "-1"],
         ["--fit-floor", "nan"],
         ["--ic", "ic:gauss-vnan"],
         ["--ic", "ic:gauss-vinf"],
+        ["--ic", "ic:gauss-v1e-300"],
         ["--positivity-floor", "0"],
+        ["--positivity-floor", "inf"],
+        ["--positivity-floor", "1e300"],
         ["--record-every", "0"],
     ],
 )
@@ -214,6 +218,10 @@ def test_flags_override_config_file(tmp_path, capsys):
         ("wibble = 3\n", "unknown config key"),
         ("just some words\n", "key=value"),
         ("n-steps = 4\ndim = 1.5\n", "bad.cfg:2: invalid value '1.5' for dim"),
+        ("t-final = inf\n", "t-final must be positive and finite"),
+        ("positivity-floor = inf\n", "positivity-floor inf"),
+        ("positivity-floor = 1e300\n", "positivity-floor 1e+300"),
+        ("ic = ic:gauss-v1e-300\n", "variance 1e-300 is not resolvable"),
     ],
 )
 def test_malformed_config_exits_2(tmp_path, capsys, content, fragment):

@@ -402,6 +402,9 @@ def test_gaussian_ic_validation():
     grid = build_grid(2, 8, Boundary.PERIODIC)
     with pytest.raises(ValueError, match="grid"):
         preset_gaussian_ic(1).build(grid)
+    # Positive and finite, but every cell value underflows to zero.
+    with pytest.raises(ValueError, match="not resolvable"):
+        preset_gaussian_ic(2, variance=1e-300).build(grid)
 
 
 def test_gaussian_ic_names():

@@ -12,6 +12,7 @@ import io
 import numpy as np
 import pytest
 
+import fpflow.solver as solver_mod
 from fpflow import (
     Boundary,
     EnergyTrace,
@@ -30,7 +31,7 @@ from fpflow import (
     preset_gaussian_ic,
     run,
 )
-from fpflow.params import get_mobility
+from fpflow.params import get_initial_condition, get_mobility
 from fpflow.solver import _bernoulli, _bernoulli_prime
 from tests.conftest import build_parameter_set
 
@@ -51,6 +52,8 @@ def gaussian_start(grid, variance=0.05, floor_rel=1e-10):
     [
         dict(t_final=0.0, n_steps=1),
         dict(t_final=-1.0, n_steps=1),
+        dict(t_final=np.inf, n_steps=1),
+        dict(t_final=np.nan, n_steps=1),
         dict(t_final=1.0, n_steps=0),
         dict(t_final=1.0, n_steps=1, newton_tol=0.0),
         dict(t_final=1.0, n_steps=1, newton_tol=1.5),
@@ -445,3 +448,104 @@ def test_backward_euler_is_first_order_in_time():
     ratio_2 = err[16] / err[32]
     assert 1.6 < ratio_1 < 2.6
     assert 1.6 < ratio_2 < 2.9
+
+
+# ----------------------------------------------------------------------
+# Linear solve of the Newton system
+# ----------------------------------------------------------------------
+
+
+def _count_calls(monkeypatch, name, counts, replacement=None):
+    """Wrap ``fpflow.solver.<name>`` so that each call bumps ``counts[name]``."""
+    inner = replacement or getattr(solver_mod, name)
+
+    def counted(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(solver_mod, name, counted)
+
+
+def _coarse_3d_run():
+    # The fig-fe-3d-coarse-DM preset, periodic.
+    grid = build_grid(3, 10, Boundary.PERIODIC)
+    pset = build_parameter_set(3, "D:multi3d-coarse", 10)
+    f0 = get_initial_condition("ic:gauss-reg-v0.08", 3).build(grid)
+    return run(f0, pset, SolverConfig(t_final=0.5, n_steps=5))
+
+
+def test_3d_newton_systems_are_solved_by_bicgstab(monkeypatch):
+    counts = {}
+    _count_calls(monkeypatch, "splu", counts)
+    _count_calls(monkeypatch, "bicgstab", counts)
+    faces = solver_mod._face_quantities
+    newton_evals = []
+
+    def counted_faces(disc, f, t, derivatives):
+        newton_evals.append(derivatives)
+        return faces(disc, f, t, derivatives)
+
+    monkeypatch.setattr(solver_mod, "_face_quantities", counted_faces)
+    _final, trace = _coarse_3d_run()
+    trace.validate()
+    # Each step evaluates the Jacobian once per solve plus once to stop.
+    newton_iters = sum(newton_evals) - 5
+    assert newton_iters >= 5
+    assert counts.get("splu", 0) == 0
+    assert counts["bicgstab"] >= newton_iters
+
+
+def test_failed_bicgstab_falls_back_to_splu(monkeypatch):
+    krylov_final, krylov = _coarse_3d_run()
+    counts = {}
+    _count_calls(monkeypatch, "splu", counts)
+    _count_calls(
+        monkeypatch, "bicgstab", counts,
+        replacement=lambda jac, b, **_kw: (np.zeros_like(b), -10),
+    )
+    direct_final, direct = _coarse_3d_run()
+    assert counts["splu"] == counts["bicgstab"] > 0
+    for name in ("mass", "F", "F_rel", "D_dis", "f_min", "f_max"):
+        np.testing.assert_allclose(
+            getattr(direct, name)[-1], getattr(krylov, name)[-1], rtol=1e-9, atol=0.0
+        )
+    np.testing.assert_allclose(direct_final.values, krylov_final.values, rtol=1e-9)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("boundary", [Boundary.PERIODIC, Boundary.NOFLUX])
+def test_1d_and_2d_newton_systems_stay_on_splu(monkeypatch, dim, boundary):
+    counts = {}
+    _count_calls(monkeypatch, "splu", counts)
+    _count_calls(monkeypatch, "bicgstab", counts)
+    grid = build_grid(dim, 24 if dim == 1 else 12, boundary)
+    pset = build_parameter_set(dim, "D:multi", grid.n_cells)
+    run(gaussian_start(grid), pset, SolverConfig(t_final=0.3, n_steps=3))
+    assert counts.get("bicgstab", 0) == 0
+    assert counts["splu"] >= 3
+
+
+@pytest.mark.parametrize("boundary", [Boundary.PERIODIC, Boundary.NOFLUX])
+def test_3d_krylov_step_keeps_tiny_tails_positive_and_mass_exact(boundary):
+    # A Gaussian of variance 0.025 relaxing in a well of equilibrium
+    # variance 0.015: corner cells hold ~1e-20 before and ~7e-21 after the
+    # step.  Spreading the Krylov mass error uniformly over the cells
+    # pushes them negative; the density-weighted correction does not.
+    grid = build_grid(3, 10, boundary)
+    well = PotentialField(
+        evaluate=lambda x, y, z: (x**2 + y**2 + z**2) / 0.03,
+        gradient=tuple((lambda *c, i=i: c[i] / 0.015) for i in range(3)),
+        name="phi:well",
+    )
+    pset = ParameterSet(
+        potential=well,
+        diffusion=build_parameter_set(3, "D:homogeneous", 10).diffusion,
+        mobility=get_mobility("pi:unit", 3),
+    )
+    f0 = gaussian_start(grid, variance=0.025, floor_rel=0.0)
+    assert f0.values.min() < 1e-19
+    dt = 1e-3
+    f1 = backward_euler_step(f0, pset, dt, dt, SolverConfig(t_final=dt, n_steps=1))
+    assert np.all(f1.values > 0.0)
+    assert f1.values.min() < 1e-20
+    assert abs(integrate(f1) - integrate(f0)) <= 1e-15
