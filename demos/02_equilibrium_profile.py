@@ -15,16 +15,11 @@
 import numpy as np
 
 from fpflow import Boundary, build_grid, equilibrium_state
-from fpflow.params import get_diffusion, get_mobility, get_potential, ParameterSet
+from fpflow.params import build_parameter_set
 from fpflow.solver import assemble_flux
 
 grid = build_grid(1, 200, Boundary.NOFLUX)
-params = ParameterSet(
-    potential=get_potential("phi:standard", 1, grid.n_cells),
-    diffusion=get_diffusion("D:single", 1, grid.n_cells),
-    mobility=get_mobility("pi:standard", 1, grid.n_cells),
-    name="equilibrium demo",
-)
+params = build_parameter_set(1, "D:single", grid.n_cells)
 
 eq = equilibrium_state(params, grid)
 x = grid.centers_1d()

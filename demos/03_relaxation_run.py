@@ -16,22 +16,11 @@ import numpy as np
 
 from fpflow import Boundary, SolverConfig, build_grid, run
 from fpflow.diagnostics import fit_decay_rate
-from fpflow.params import (
-    ParameterSet,
-    get_diffusion,
-    get_initial_condition,
-    get_mobility,
-    get_potential,
-)
+from fpflow.params import build_parameter_set, get_initial_condition
 from fpflow.svgplot import semilogy_svg
 
 grid = build_grid(1, 200, Boundary.PERIODIC)
-params = ParameterSet(
-    potential=get_potential("phi:standard", 1, grid.n_cells),
-    diffusion=get_diffusion("D:single", 1, grid.n_cells),
-    mobility=get_mobility("pi:standard", 1, grid.n_cells),
-    name="relaxation demo",
-)
+params = build_parameter_set(1, "D:single", grid.n_cells)
 f0 = get_initial_condition("ic:gauss", 1).build(grid)
 config = SolverConfig(t_final=2.5, n_steps=50)
 

@@ -18,13 +18,7 @@ import numpy as np
 
 from fpflow import Boundary, SolverConfig, build_grid, run
 from fpflow.diagnostics import fit_decay_rate
-from fpflow.params import (
-    ParameterSet,
-    get_diffusion,
-    get_initial_condition,
-    get_mobility,
-    get_potential,
-)
+from fpflow.params import build_parameter_set, get_initial_condition
 from fpflow.svgplot import semilogy_svg
 
 grid = build_grid(1, 200, Boundary.PERIODIC)
@@ -34,12 +28,7 @@ config = SolverConfig(t_final=2.5, n_steps=50)
 series = []
 rates = {}
 for ref in ("D:homogeneous", "D:single", "D:multi"):
-    params = ParameterSet(
-        potential=get_potential("phi:standard", 1, grid.n_cells),
-        diffusion=get_diffusion(ref, 1, grid.n_cells),
-        mobility=get_mobility("pi:standard", 1, grid.n_cells),
-        name=ref,
-    )
+    params = build_parameter_set(1, ref, grid.n_cells)
     _, trace = run(f0, params, config)
     fit = fit_decay_rate(trace, "F_rel", transient_frac=0.02, floor_rel=3e-15)
     rates[ref] = fit.rate

@@ -15,21 +15,10 @@ import numpy as np
 
 from fpflow import Boundary, SolverConfig, build_grid, equilibrium_state, run
 from fpflow.diagnostics import ckp_check, max_principle_envelope, relative_entropy
-from fpflow.params import (
-    ParameterSet,
-    get_diffusion,
-    get_initial_condition,
-    get_mobility,
-    get_potential,
-)
+from fpflow.params import build_parameter_set, get_initial_condition
 
 grid = build_grid(1, 200, Boundary.NOFLUX)
-params = ParameterSet(
-    potential=get_potential("phi:standard", 1, grid.n_cells),
-    diffusion=get_diffusion("D:homogeneous", 1, grid.n_cells),
-    mobility=get_mobility("pi:unit", 1, grid.n_cells),
-    name="bounds demo",
-)
+params = build_parameter_set(1, "D:homogeneous", grid.n_cells, mobility_ref="pi:unit")
 eq = equilibrium_state(params, grid)
 f0 = get_initial_condition("ic:gauss-reg", 1).build(grid)
 

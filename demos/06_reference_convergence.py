@@ -12,21 +12,10 @@ import numpy as np
 
 from fpflow import Boundary, SolverConfig, build_grid, run
 from fpflow.oracle import build_linear_operator, reference_evolve
-from fpflow.params import (
-    ParameterSet,
-    get_diffusion,
-    get_initial_condition,
-    get_mobility,
-    get_potential,
-)
+from fpflow.params import build_parameter_set, get_initial_condition
 
 grid = build_grid(1, 64, Boundary.PERIODIC)
-params = ParameterSet(
-    potential=get_potential("phi:standard", 1, grid.n_cells),
-    diffusion=get_diffusion("D:homogeneous", 1, grid.n_cells),
-    mobility=get_mobility("pi:unit", 1, grid.n_cells),
-    name="reference demo",
-)
+params = build_parameter_set(1, "D:homogeneous", grid.n_cells, mobility_ref="pi:unit")
 f0 = get_initial_condition("ic:gauss", 1).build(grid)
 
 op = build_linear_operator(params, grid)

@@ -5,8 +5,8 @@ custom setup) and writes the energy trace CSV plus a semilog SVG of the
 free-energy gap.  ``fpflow compare`` runs several presets on the same
 grid concurrently and writes a rate-comparison table with an overlay
 plot.  ``fpflow equilibrium`` writes the discrete equilibrium profile.
-``fpflow verify`` runs a self-contained battery of structural checks and
-exits nonzero if any of them fails.
+``fpflow verify`` runs the structural self-checks registered in
+:mod:`fpflow.checks` and exits nonzero if any of them fails.
 
 Experiments are described by a flat key/value vocabulary that appears,
 identically, as CLI flags and as ``--config`` file entries; explicit
@@ -16,21 +16,20 @@ flags override the config file, which overrides the preset.
 from __future__ import annotations
 
 import argparse
-import functools
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
-from . import diagnostics, oracle, params as params_mod, solver, svgplot
-from .diagnostics import Regime, fit_decay_rate
+from . import checks, params as params_mod, svgplot
+from .diagnostics import fit_decay_rate
 from .equilibrium import equilibrium_state
-from .grid import Boundary, ScalarField, build_grid, face_divergence, face_gradient, integrate
-from .params import ParameterSet, PresetNotFound
+from .grid import Boundary, build_grid
+from .params import PresetNotFound
 from .solver import EnergyTrace, NonConvergence, PositivityLoss, SolverConfig, run
 
 
@@ -226,9 +225,6 @@ def _build_spec(args: argparse.Namespace, preset: Optional[str]) -> ExperimentSp
             fields[key] = value
     if getattr(args, "name", None):
         name = args.name
-    fields.setdefault("record_every", 1)
-    fields.setdefault("fit_transient_frac", 0.1)
-    fields.setdefault("fit_floor", 1e-12)
     return ExperimentSpec(
         name=name, output_dir=Path(args.out if args.out is not None else "."), **fields
     )
@@ -245,16 +241,16 @@ def _materialize(spec: ExperimentSpec, boundary: str):
     bc = Boundary.PERIODIC if boundary == "periodic" else Boundary.NOFLUX
     grid = build_grid(spec.dim, spec.n_cells, bc)
     try:
-        potential = params_mod.get_potential(spec.potential_ref, spec.dim, spec.n_cells)
-        diffusion = params_mod.get_diffusion(spec.diffusion_ref, spec.dim, spec.n_cells)
-        mobility = params_mod.get_mobility(spec.mobility_ref, spec.dim, spec.n_cells)
+        pset = params_mod.build_parameter_set(
+            spec.dim, spec.diffusion_ref, spec.n_cells, mobility_ref=spec.mobility_ref,
+            potential_ref=spec.potential_ref, name=spec.name,
+        )
         ic = params_mod.get_initial_condition(spec.ic_ref, spec.dim)
         f0 = None if ic.build is None else ic.build(grid)
     except PresetNotFound as exc:
         raise UsageError(str(exc.args[0])) from None
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    pset = ParameterSet(potential, diffusion, mobility, name=spec.name)
     if f0 is None:
         f0 = equilibrium_state(pset, grid).density
     # The solver lifts the initial datum to the floor and then requires
@@ -393,388 +389,21 @@ def cmd_compare(specs: list[ExperimentSpec]) -> int:
     return 0
 
 
-# ----------------------------------------------------------------------
-# verify: structural self-checks
-# ----------------------------------------------------------------------
-
-def _std_params(dim: int, diffusion: str = "D:single", mobility: str = "pi:standard",
-                potential: str = "phi:standard", n_cells: int = 100) -> ParameterSet:
-    return ParameterSet(
-        params_mod.get_potential(potential, dim, n_cells),
-        params_mod.get_diffusion(diffusion, dim, n_cells),
-        params_mod.get_mobility(mobility, dim, n_cells),
-        name="verify",
-    )
-
-
-@functools.lru_cache(maxsize=None)
-def _workhorse(boundary: Boundary, diffusion: str):
-    """Shared 1D reference run for the state-evolution checks."""
-    grid = build_grid(1, 100, boundary)
-    pset = _std_params(1, diffusion=diffusion, n_cells=100)
-    f0 = params_mod.preset_gaussian_ic(1).build(grid)
-    snapshots: list[ScalarField] = []
-    config = SolverConfig(t_final=2.0, n_steps=25)
-    final, trace = run(
-        f0, pset, config, on_step=lambda k, t, f: snapshots.append(f)
-    )
-    return grid, pset, f0, config, final, trace, tuple(snapshots)
-
-
-def _chk_grid_telescoping() -> None:
-    rng = np.random.default_rng(7)
-    for bc in (Boundary.PERIODIC, Boundary.NOFLUX):
-        grid = build_grid(1, 64, bc)
-        f = ScalarField(grid, 1.0 + rng.random(grid.shape))
-        total = grid.cell_volume * float(np.sum(face_divergence(face_gradient(f))))
-        assert abs(total) <= 1e-12, f"divergence sum {total:.3e} under {bc.value}"
-
-
-def _chk_integrate_linearity() -> None:
-    rng = np.random.default_rng(11)
-    grid = build_grid(1, 50, Boundary.PERIODIC)
-    a = rng.random(grid.shape)
-    b = rng.random(grid.shape)
-    lhs = integrate(ScalarField(grid, 2.5 * a - 0.75 * b))
-    rhs = 2.5 * integrate(ScalarField(grid, a)) - 0.75 * integrate(ScalarField(grid, b))
-    assert abs(lhs - rhs) <= 1e-12, f"linearity defect {abs(lhs - rhs):.3e}"
-
-
-def _chk_gradient_convergence() -> None:
-    errs = []
-    for n in (32, 64):
-        grid = build_grid(1, n, Boundary.PERIODIC)
-        f = ScalarField(grid, np.sin(np.pi * grid.centers_1d()))
-        g = face_gradient(f).components[0]
-        xf = -1.0 + np.arange(n) * grid.h
-        errs.append(float(np.max(np.abs(g - np.pi * np.cos(np.pi * xf)))))
-    ratio = errs[0] / errs[1]
-    assert ratio >= 1.8, f"gradient error ratio {ratio:.2f} under refinement"
-
-
-def _chk_preset_gradients() -> None:
-    pset = _std_params(1, diffusion="D:multi", n_cells=20)
-    xs = np.linspace(-0.9, 0.9, 17)
-    step = 1e-6
-    for label, f, g in (
-        ("potential", pset.potential.evaluate, pset.potential.gradient[0]),
-        ("diffusion", pset.diffusion.evaluate, pset.diffusion.gradient[0]),
-    ):
-        fd = (f(xs + step) - f(xs - step)) / (2 * step)
-        err = float(np.max(np.abs(fd - g(xs))))
-        assert err <= 1e-5, f"{label} gradient mismatch {err:.3e}"
-    t = 0.4
-    fd = (pset.mobility.evaluate(xs + step, t) - pset.mobility.evaluate(xs - step, t)) / (2 * step)
-    err = float(np.max(np.abs(fd - pset.mobility.gradient[0](xs, t))))
-    assert err <= 1e-5, f"mobility gradient mismatch {err:.3e}"
-    fd_t = (pset.mobility.evaluate(xs, t + step) - pset.mobility.evaluate(xs, t - step)) / (2 * step)
-    err = float(np.max(np.abs(fd_t - pset.mobility.time_derivative(xs, t))))
-    assert err <= 1e-4, f"mobility time-derivative mismatch {err:.3e}"
-
-
-def _chk_equilibrium_residual() -> None:
-    grid = build_grid(1, 128, Boundary.PERIODIC)
-    pset = _std_params(1, n_cells=128)
-    eq = equilibrium_state(pset, grid)
-    mass = integrate(eq.density)
-    assert abs(mass - 1.0) <= 1e-12, f"equilibrium mass defect {abs(mass - 1):.3e}"
-    disc = pset.discretize(grid)
-    resid = float(np.max(np.abs(disc.D * np.log(eq.density.values) + disc.phi - eq.c1)))
-    assert resid <= 1e-12, f"equilibrium cell residual {resid:.3e}"
-
-
-def _chk_equilibrium_stationarity() -> None:
-    grid = build_grid(1, 64, Boundary.PERIODIC)
-    pset = _std_params(1, n_cells=64)
-    eq = equilibrium_state(pset, grid)
-    _final, trace = run(eq.density, pset, SolverConfig(t_final=0.5, n_steps=10))
-    worst_f = float(np.max(np.abs(trace.F_rel)))
-    worst_d = float(np.max(trace.D_dis))
-    assert worst_f <= 1e-10, f"free-energy gap {worst_f:.3e} from equilibrium start"
-    assert worst_d <= 1e-10, f"dissipation {worst_d:.3e} from equilibrium start"
-
-
-def _chk_mass_conservation() -> None:
-    for bc in (Boundary.PERIODIC, Boundary.NOFLUX):
-        trace = _workhorse(bc, "D:single")[5]
-        drift = float(np.max(np.abs(trace.mass - trace.mass[0])))
-        assert drift <= 1e-11, f"mass drift {drift:.3e} under {bc.value}"
-
-
-def _chk_positivity() -> None:
-    for bc in (Boundary.PERIODIC, Boundary.NOFLUX):
-        trace = _workhorse(bc, "D:single")[5]
-        assert np.all(trace.f_min > 0.0), f"nonpositive density under {bc.value}"
-
-
-def _chk_energy_decay() -> None:
-    for bc in (Boundary.PERIODIC, Boundary.NOFLUX):
-        trace = _workhorse(bc, "D:single")[5]
-        worst = float(np.max(np.diff(trace.F)))
-        assert worst <= 10 * 1e-10, f"energy increased by {worst:.3e} under {bc.value}"
-
-
-def _chk_ckp() -> None:
-    grid, pset, f0, _cfg, _final, _trace, snapshots = _workhorse(
-        Boundary.PERIODIC, "D:single"
-    )
-    eq = equilibrium_state(pset, grid)
-    for f in (f0,) + snapshots:
-        report = diagnostics.ckp_check(f, eq)
-        assert report.holds, f"CKP violated: l1^2={report.l1 ** 2:.3e} > {report.bound:.3e}"
-
-
-def _chk_max_principle() -> None:
-    grid, pset, f0, _cfg, _final, _trace, snapshots = _workhorse(
-        Boundary.PERIODIC, "D:single"
-    )
-    eq = equilibrium_state(pset, grid)
-    lower, upper = diagnostics.max_principle_envelope(f0, eq, pset)
-    slack = 5.0 * grid.h
-    for f in snapshots:
-        below = float(np.max(lower.values * (1 - slack) - f.values))
-        above = float(np.max(f.values - upper.values * (1 + slack)))
-        assert below <= 0 and above <= 0, "variable-D envelope violated"
-    # Constant diffusion: the conjugated scheme obeys the comparison
-    # principle exactly, so the envelope holds to round-off.
-    grid, pset, f0, _cfg, _final, _trace, snapshots = _workhorse(
-        Boundary.PERIODIC, "D:homogeneous"
-    )
-    eq = equilibrium_state(pset, grid)
-    lower, upper = diagnostics.max_principle_envelope(f0, eq, pset)
-    for f in snapshots:
-        below = float(np.max(lower.values - f.values))
-        above = float(np.max(f.values - upper.values))
-        assert below <= 1e-10 and above <= 1e-10, (
-            f"constant-D envelope violated by {max(below, above):.3e}"
-        )
-
-
-def _chk_symmetry() -> None:
-    final = _workhorse(Boundary.PERIODIC, "D:single")[4]
-    asym = float(np.max(np.abs(final.values - np.flip(final.values))))
-    assert asym <= 1e-10, f"even-data symmetry broken by {asym:.3e}"
-
-
-def _chk_oracle_equivalence() -> None:
-    grid = build_grid(1, 32, Boundary.PERIODIC)
-    pset = _std_params(1, diffusion="D:homogeneous", mobility="pi:unit", n_cells=32)
-    op = oracle.build_linear_operator(pset, grid)
-    eq = equilibrium_state(pset, grid)
-    stat = float(np.max(np.abs(op.apply(eq.density.values))))
-    assert stat <= 1e-12, f"operator does not annihilate equilibrium: {stat:.3e}"
-    f0 = params_mod.preset_gaussian_ic(1).build(grid)
-    dt = 1e-3
-    stepped = solver.backward_euler_step(
-        f0, pset, dt, dt, SolverConfig(t_final=dt, n_steps=1)
-    )
-    dense = np.linalg.solve(
-        np.eye(grid.n_total) - dt * op.matrix, f0.values.ravel()
-    ).reshape(grid.shape)
-    gap = float(np.max(np.abs(stepped.values - dense)))
-    assert gap <= 1e-12, f"implicit step deviates from dense solve by {gap:.3e}"
-    implicit, _ = run(f0, pset, SolverConfig(t_final=0.1, n_steps=100))
-    reference = oracle.reference_evolve(op, f0, 0.1, dt=1e-5)
-    l1 = grid.cell_volume * float(np.sum(np.abs(implicit.values - reference.values)))
-    assert l1 <= 5e-3, f"implicit vs reference L1 gap {l1:.3e}"
-
-
-def _chk_oracle_heat_mode() -> None:
-    grid = build_grid(1, 32, Boundary.PERIODIC)
-    flat = ParameterSet(
-        params_mod.PotentialField(
-            evaluate=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-            gradient=(lambda x: np.zeros_like(np.asarray(x, dtype=float)),),
-            hessian=((lambda x: np.zeros_like(np.asarray(x, dtype=float)),),),
-            name="phi:flat",
-        ),
-        params_mod.preset_diffusion_homogeneous(1),
-        params_mod.preset_mobility_unit(1),
-        name="heat",
-    )
-    op = oracle.build_linear_operator(flat, grid)
-    x = grid.centers_1d()
-    f0 = ScalarField(grid, 0.5 + 0.25 * np.cos(np.pi * x))
-    out = oracle.reference_evolve(op, f0, 0.1, dt=2e-5)
-    mu = 2.0 / grid.h**2 * (1.0 - np.cos(np.pi * grid.h))
-    ratio = (out.values - 0.5) / (f0.values - 0.5)
-    err = float(np.max(np.abs(ratio - np.exp(-mu * 0.1))))
-    assert err <= 1e-10, f"heat-mode decay factor off by {err:.3e}"
-    mass_gap = abs(integrate(out) - integrate(f0))
-    assert mass_gap <= 1e-12, f"reference evolve mass drift {mass_gap:.3e}"
-
-
-def _chk_decay_fit() -> None:
-    t = np.linspace(0.0, 5.0, 100)
-    y = 3.0 * np.exp(-2.0 * t)
-    ones = np.ones_like(t)
-    trace = EnergyTrace(t=t, mass=ones, F=y, F_rel=y, D_dis=y, f_min=ones, f_max=ones)
-    fit = fit_decay_rate(trace, "F_rel")
-    assert abs(fit.rate - 2.0) <= 1e-9, f"synthetic rate {fit.rate!r}"
-    assert fit.r_squared >= 1.0 - 1e-12, f"synthetic r^2 {fit.r_squared!r}"
-    scaled = EnergyTrace(
-        t=t, mass=ones, F=y, F_rel=1e6 * y, D_dis=y, f_min=ones, f_max=ones
-    )
-    fit2 = fit_decay_rate(scaled, "F_rel")
-    assert abs(fit2.rate - fit.rate) <= 1e-9, "fit rate is not scale invariant"
-
-
-def _chk_gronwall() -> None:
-    value = diagnostics.gronwall_envelope(1.0, 1.0, 3.0, 0.5, 0.0)
-    assert abs(value - 3.0**-0.5) <= 1e-15, f"gronwall value {value!r}"
-    later = diagnostics.gronwall_envelope(1.0, 1.0, 3.0, 0.5, 2.0)
-    assert later < value, "gronwall envelope is not decaying"
-    try:
-        diagnostics.gronwall_envelope(1.0, 1.0, 3.0, 1.0, 0.0)
-    except ValueError:
-        pass
-    else:
-        raise AssertionError("critical g0 was not rejected")
-
-
-def _chk_mass_2d() -> None:
-    # h = 0.125 cannot resolve the sharp default profile; widen and floor
-    # the tail so the implicit solve stays inside Newton's basin.
-    ic = params_mod.preset_gaussian_ic(2, variance=0.08, floor_rel=1e-10)
-    for bc in (Boundary.PERIODIC, Boundary.NOFLUX):
-        grid = build_grid(2, 16, bc)
-        pset = _std_params(2, n_cells=16)
-        f0 = ic.build(grid)
-        _final, trace = run(f0, pset, SolverConfig(t_final=0.4, n_steps=8))
-        drift = float(np.max(np.abs(trace.mass - trace.mass[0])))
-        assert drift <= 1e-11, f"2D mass drift {drift:.3e} under {bc.value}"
-        assert np.all(np.diff(trace.F) <= 1e-9), "2D energy increased"
-
-
-def _chk_mass_3d() -> None:
-    grid = build_grid(3, 8, Boundary.PERIODIC)
-    pset = _std_params(3, n_cells=8)
-    f0 = params_mod.preset_gaussian_ic(3, variance=0.04).build(grid)
-    _final, trace = run(f0, pset, SolverConfig(t_final=0.2, n_steps=4))
-    drift = float(np.max(np.abs(trace.mass - trace.mass[0])))
-    assert drift <= 1e-11, f"3D mass drift {drift:.3e}"
-    assert np.all(trace.f_min > 0.0), "3D positivity lost"
-
-
-def _chk_step_refinement() -> None:
-    grid = build_grid(1, 64, Boundary.PERIODIC)
-    pset = _std_params(1, n_cells=64)
-    f0 = params_mod.preset_gaussian_ic(1).build(grid)
-    finals = {}
-    for n in (8, 16, 256):
-        finals[n], _ = run(f0, pset, SolverConfig(t_final=0.5, n_steps=n))
-    e8 = grid.cell_volume * float(np.sum(np.abs(finals[8].values - finals[256].values)))
-    e16 = grid.cell_volume * float(np.sum(np.abs(finals[16].values - finals[256].values)))
-    ratio = e8 / e16
-    assert 1.6 <= ratio <= 2.4, f"step-halving error ratio {ratio:.2f} (want ~2)"
-
-
-def _chk_identity_ladder() -> None:
-    regimes = {
-        Regime.HOMOGENEOUS: ("D:homogeneous", "pi:unit"),
-        Regime.INHOMOGENEOUS_D: ("D:single", "pi:unit"),
-        Regime.VARIABLE_MOBILITY: ("D:single", "pi:standard"),
-    }
-    for regime, (diff, mob) in regimes.items():
-        residuals = []
-        for n in (50, 100, 200):
-            n_steps = n * n // 25
-            residuals.append(
-                _identity_residual_1d(regime, diff, mob, n, n_steps, t_final=0.5)
-            )
-        assert residuals[0] > residuals[1] > residuals[2], (
-            f"{regime.value}: identity residuals {residuals} not decreasing"
-        )
-
-
-def _identity_residual_1d(
-    regime: Regime, diffusion: str, mobility: str, n: int, n_steps: int, t_final: float
-) -> float:
-    grid = build_grid(1, n, Boundary.PERIODIC)
-    pset = _std_params(1, diffusion=diffusion, mobility=mobility, n_cells=n)
-    f0 = params_mod.preset_gaussian_ic(1).build(grid)
-    config = SolverConfig(t_final=t_final, n_steps=n_steps)
-    mid = n_steps // 2
-    keep: dict[int, ScalarField] = {}
-
-    def grab(k: int, _t: float, f: ScalarField) -> None:
-        if k == mid:
-            keep[k] = f
-
-    _final, trace = run(f0, pset, config, on_step=grab)
-    dt = t_final / n_steps
-    t_mid = mid * dt
-    ctx = [
-        (trace.t[mid - 1], trace.F[mid - 1]),
-        (trace.t[mid], trace.F[mid]),
-        (trace.t[mid + 1], trace.F[mid + 1]),
-    ]
-    report = diagnostics.second_derivative_identity(keep[mid], pset, t_mid, regime, ctx)
-    scale = max(abs(report.lhs), abs(report.rhs), trace.D_dis[mid])
-    return report.residual / scale
-
-
-def _chk_refined_functional() -> None:
-    grid = build_grid(1, 40, Boundary.PERIODIC)
-    pset = _std_params(1, diffusion="D:homogeneous", n_cells=40)
-    s2 = 0.01
-    gauss = lambda x: np.exp(-(x**2) / (2 * s2)) / np.sqrt(2 * np.pi * s2)  # noqa: E731
-    coarse = oracle.refined_functional(pset, "mass", gauss, 1, grid)
-    fine = oracle.refined_functional(pset, "mass", gauss, 8, grid)
-    assert abs(coarse - fine) <= 1e-4, f"mass quadrature gap {abs(coarse - fine):.3e}"
-    half = lambda x: 0.5 * np.ones_like(np.asarray(x, dtype=float))  # noqa: E731
-    fe = oracle.refined_functional(pset, "free_energy", half, 1, grid)
-    # For f = 1/2: integral of D f (log f - 1) is (-log2 - 1), plus the
-    # well's exact mean 9/8 halved; the midpoint rule is exact for both.
-    want = (-np.log(2.0) - 1.0) + 0.5 * 2.25
-    assert abs(fe - want) <= 1e-13, f"constant-field free energy off by {abs(fe - want):.3e}"
-
-
-_FAST_CHECKS: list[tuple[str, Callable[[], None]]] = [
-    ("grid-telescoping", _chk_grid_telescoping),
-    ("integrate-linearity", _chk_integrate_linearity),
-    ("gradient-convergence", _chk_gradient_convergence),
-    ("preset-gradients", _chk_preset_gradients),
-    ("equilibrium-residual", _chk_equilibrium_residual),
-    ("equilibrium-stationarity", _chk_equilibrium_stationarity),
-    ("mass-conservation", _chk_mass_conservation),
-    ("positivity", _chk_positivity),
-    ("discrete-energy-decay", _chk_energy_decay),
-    ("ckp-bound", _chk_ckp),
-    ("max-principle-envelope", _chk_max_principle),
-    ("even-symmetry", _chk_symmetry),
-    ("oracle-equivalence", _chk_oracle_equivalence),
-    ("oracle-heat-mode", _chk_oracle_heat_mode),
-    ("decay-fit", _chk_decay_fit),
-    ("gronwall-envelope", _chk_gronwall),
-]
-
-_FULL_CHECKS: list[tuple[str, Callable[[], None]]] = [
-    ("mass-conservation-2d", _chk_mass_2d),
-    ("mass-conservation-3d", _chk_mass_3d),
-    ("step-refinement", _chk_step_refinement),
-    ("identity-ladder", _chk_identity_ladder),
-    ("refined-functional", _chk_refined_functional),
-]
-
-
 def cmd_verify(level: str) -> int:
     if level not in ("fast", "full"):
         raise UsageError(f"verify level must be fast or full, got {level!r}")
-    checks = list(_FAST_CHECKS)
-    if level == "full":
-        checks += _FULL_CHECKS
-    _workhorse.cache_clear()
+    registry = checks.FAST + (checks.FULL if level == "full" else [])
     failures = []
-    for name, check in checks:
-        try:
-            check()
-        except Exception as exc:  # noqa: BLE001 - report every failure mode
-            failures.append(name)
-            print(f"FAIL {name}: {exc}")
-        else:
-            print(f"PASS {name}")
-    print(f"verify[{level}]: {len(checks) - len(failures)}/{len(checks)} checks passed")
+    with checks.fresh_runs():
+        for name, check in registry:
+            try:
+                check()
+            except Exception as exc:  # noqa: BLE001 - report every failure mode
+                failures.append(name)
+                print(f"FAIL {name}: {exc}")
+            else:
+                print(f"PASS {name}")
+    print(f"verify[{level}]: {len(registry) - len(failures)}/{len(registry)} checks passed")
     if failures:
         print("failing: " + ", ".join(failures))
         return 1

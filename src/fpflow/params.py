@@ -645,6 +645,19 @@ def get_mobility(name: str, dim: int, n_cells: int = 0) -> MobilityField:
     return factory(dim, n_cells)
 
 
+def build_parameter_set(dim: int, diffusion_ref: str, n_cells: int,
+                        mobility_ref: str = "pi:standard",
+                        potential_ref: str = "phi:standard",
+                        name: Optional[str] = None) -> ParameterSet:
+    """The parameter set named by three preset refs; the name defaults to them."""
+    return ParameterSet(
+        potential=get_potential(potential_ref, dim, n_cells),
+        diffusion=get_diffusion(diffusion_ref, dim, n_cells),
+        mobility=get_mobility(mobility_ref, dim, n_cells),
+        name=f"{potential_ref}/{diffusion_ref}/{mobility_ref}" if name is None else name,
+    )
+
+
 # Relative tail floor shared by the regularized Gaussian presets.
 _GAUSS_REG_FLOOR = 1e-10
 

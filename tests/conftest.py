@@ -21,12 +21,7 @@ from fpflow import (
     equilibrium_state,
     run,
 )
-from fpflow.params import (
-    get_diffusion,
-    get_initial_condition,
-    get_mobility,
-    get_potential,
-)
+from fpflow.params import build_parameter_set, get_initial_condition
 
 # The per-dimension experiment settings the acceptance criteria pin
 # (cells, steps, both boundaries; horizons follow the CLI presets).
@@ -56,17 +51,6 @@ class PresetRun:
     snapshots: tuple[ScalarField, ...]
     equilibrium: EquilibriumState
     wall_seconds: float
-
-
-def build_parameter_set(dim: int, diffusion_ref: str, n_cells: int,
-                        mobility_ref: str = "pi:standard",
-                        potential_ref: str = "phi:standard") -> ParameterSet:
-    return ParameterSet(
-        potential=get_potential(potential_ref, dim, n_cells),
-        diffusion=get_diffusion(diffusion_ref, dim, n_cells),
-        mobility=get_mobility(mobility_ref, dim, n_cells),
-        name=f"{potential_ref}/{diffusion_ref}/{mobility_ref}",
-    )
 
 
 def _execute(dim: int, diffusion_ref: str, boundary: Boundary,

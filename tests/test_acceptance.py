@@ -8,12 +8,12 @@ figure-preset runs are computed once per session and shared.
 import numpy as np
 
 from fpflow import Boundary, SolverConfig, build_grid, run
+from fpflow.checks import identity_residual
 from fpflow.diagnostics import (
     Regime,
     ckp_check,
     fit_decay_rate,
     max_principle_envelope,
-    second_derivative_identity,
 )
 from fpflow.oracle import build_linear_operator, reference_evolve
 from fpflow.params import get_initial_condition
@@ -200,35 +200,11 @@ _IDENTITY_REGIMES = (
 )
 
 
-def _identity_residual(regime: Regime, diffusion_ref: str, mobility_ref: str,
-                       n_cells: int) -> float:
-    """Mid-trajectory second-derivative identity defect, normalized."""
-    n_steps = n_cells**2 // 25
-    grid = build_grid(1, n_cells, Boundary.PERIODIC)
-    pset = build_parameter_set(1, diffusion_ref, n_cells,
-                               mobility_ref=mobility_ref)
-    f0 = get_initial_condition("ic:gauss", 1).build(grid)
-    mid = n_steps // 2
-    captured = {}
-
-    def grab(k, t, f):
-        if mid - 1 <= k <= mid + 1:
-            captured[k] = (t, f)
-
-    _, trace = run(f0, pset, SolverConfig(t_final=0.5, n_steps=n_steps),
-                   on_step=grab)
-    t_mid, f_mid = captured[mid]
-    fd_context = [(trace.t[k], trace.F[k]) for k in (mid - 1, mid, mid + 1)]
-    report = second_derivative_identity(f_mid, pset, t_mid, regime, fd_context)
-    scale = max(abs(report.lhs), abs(report.rhs), float(trace.D_dis[mid]))
-    return report.residual / scale
-
-
 def test_criterion_10_identity_residual_ladder():
     ladder = (100, 200, 400)
     ok, parts = True, []
     for regime, diff, mob in _IDENTITY_REGIMES:
-        residuals = [_identity_residual(regime, diff, mob, n) for n in ladder]
+        residuals = [identity_residual(regime, diff, mob, n)[1] for n in ladder]
         decreasing = all(a > b for a, b in zip(residuals, residuals[1:]))
         ok &= decreasing
         parts.append(

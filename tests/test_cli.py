@@ -8,6 +8,7 @@ documented contract (0 success, 1 solver/io failure, 2 usage error).
 import numpy as np
 import pytest
 
+from fpflow import checks
 from fpflow.cli import _EXPERIMENTS, UsageError, _max_workers, main
 from fpflow.solver import EnergyTrace
 
@@ -380,15 +381,6 @@ def test_verify_fast_passes(capsys):
     assert "FAIL" not in out
 
 
-def test_verify_full_passes(capsys):
-    code, out, _ = run_cli(capsys, ["verify", "full"])
-    assert code == 0
-    assert "verify[full]: 21/21 checks passed" in out
-    for name in ("mass-conservation-2d", "mass-conservation-3d", "step-refinement",
-                 "identity-ladder", "refined-functional"):
-        assert f"PASS {name}" in out
-
-
 def test_verify_catches_a_broken_flux_kernel(capsys, monkeypatch):
     # Replacing the exponential-fitting kernel with B = 1 silently turns
     # the scheme into plain central diffusion: still stable, still mass
@@ -403,3 +395,31 @@ def test_verify_catches_a_broken_flux_kernel(capsys, monkeypatch):
     assert "FAIL equilibrium-stationarity" in out
     assert "failing: " in out
     assert "equilibrium-stationarity" in out.split("failing: ")[1]
+
+
+def test_verify_reports_a_check_that_raises(capsys, monkeypatch):
+    def boom():
+        raise ValueError("boom")
+
+    monkeypatch.setattr(checks, "FAST", [("a", lambda: None), ("b", boom)])
+    code, out, _ = run_cli(capsys, ["verify", "fast"])
+    assert code == 1
+    assert out.splitlines() == [
+        "PASS a", "FAIL b: boom", "verify[fast]: 1/2 checks passed", "failing: b",
+    ]
+
+
+def test_verify_leaves_no_shared_runs_behind(capsys, monkeypatch):
+    # Reference runs made under a broken kernel must not reach checks
+    # called after verify returns.
+    monkeypatch.setattr(
+        "fpflow.solver._bernoulli",
+        lambda x: np.ones_like(np.asarray(x, dtype=float)),
+    )
+    code, _, _ = run_cli(capsys, ["verify", "fast"])
+    assert code == 1
+    monkeypatch.undo()
+    assert checks._workhorse.cache_info().currsize == 0
+    registry = dict(checks.FAST)
+    registry["mass-conservation"]()
+    registry["equilibrium-stationarity"]()
