@@ -14,18 +14,11 @@
 #   inhomogeneous-d    D(x) varies, mobility one    (+ diffusion couplings)
 #   variable-mobility  D(x) and pi(x, t) both vary  (+ mobility couplings)
 
-from fpflow.checks import identity_residual
-from fpflow.diagnostics import Regime
-
-REGIMES = (
-    (Regime.HOMOGENEOUS, "D:homogeneous", "pi:unit"),
-    (Regime.INHOMOGENEOUS_D, "D:single", "pi:unit"),
-    (Regime.VARIABLE_MOBILITY, "D:single", "pi:standard"),
-)
+from fpflow.checks import IDENTITY_REGIMES, identity_residual
 
 # Each rung is a 1D periodic run with dt ~ 1/N^2, which keeps both error
 # sources in step; the snapshot sits at mid-trajectory.
-for regime, diff, mob in REGIMES:
+for regime, diff, mob in IDENTITY_REGIMES:
     print(f"--- {regime.value}  ({diff}, {mob})")
     print("    N     lhs          rhs          normalized residual")
     for n_cells in (50, 100, 200):

@@ -52,14 +52,24 @@ def fresh_runs() -> Iterator[None]:
         _workhorse.cache_clear()
 
 
+# The identity's three regimes, increasingly general, with their coefficients.
+IDENTITY_REGIMES: tuple[tuple[Regime, str, str], ...] = (
+    (Regime.HOMOGENEOUS, "D:homogeneous", "pi:unit"),
+    (Regime.INHOMOGENEOUS_D, "D:single", "pi:unit"),
+    (Regime.VARIABLE_MOBILITY, "D:single", "pi:standard"),
+)
+
+
 def identity_residual(
     regime: Regime, diffusion_ref: str, mobility_ref: str, n_cells: int
 ) -> tuple[IdentityReport, float]:
     """The d^2F/dt^2 identity at mid-trajectory and its normalized defect.
 
-    A 1D periodic run from the default Gaussian to t = 0.5 with
-    dt ~ 1/N^2, so space and time errors refine together.  The defect is
-    the residual over the largest of |lhs|, |rhs| and the dissipation.
+    A 1D periodic run from the default Gaussian with dt = 0.5 / (N^2 // 25),
+    so space and time errors refine together, stopped one step past the
+    snapshot at t ~ 0.25 (the last trace row the second difference of F
+    reads).  The defect is the residual over the largest of |lhs|, |rhs|
+    and the dissipation.
     """
     n_steps = n_cells**2 // 25
     grid = build_grid(1, n_cells, Boundary.PERIODIC)
@@ -72,7 +82,8 @@ def identity_residual(
         if k == mid:
             captured[k] = (t, f)
 
-    _, trace = run(f0, pset, SolverConfig(t_final=0.5, n_steps=n_steps), on_step=grab)
+    config = SolverConfig(t_final=(mid + 1) * (0.5 / n_steps), n_steps=mid + 1)
+    _, trace = run(f0, pset, config, on_step=grab)
     t_mid, f_mid = captured[mid]
     fd_context = [(trace.t[k], trace.F[k]) for k in (mid - 1, mid, mid + 1)]
     report = diagnostics.second_derivative_identity(f_mid, pset, t_mid, regime, fd_context)
@@ -329,12 +340,7 @@ def _chk_step_refinement() -> None:
 
 
 def _chk_identity_ladder() -> None:
-    regimes = {
-        Regime.HOMOGENEOUS: ("D:homogeneous", "pi:unit"),
-        Regime.INHOMOGENEOUS_D: ("D:single", "pi:unit"),
-        Regime.VARIABLE_MOBILITY: ("D:single", "pi:standard"),
-    }
-    for regime, (diff, mob) in regimes.items():
+    for regime, diff, mob in IDENTITY_REGIMES:
         residuals = [identity_residual(regime, diff, mob, n)[1] for n in (50, 100, 200)]
         assert residuals[0] > residuals[1] > residuals[2], (
             f"{regime.value}: identity residuals {residuals} not decreasing"

@@ -211,6 +211,40 @@ class InitialCondition:
 # Presets
 # ----------------------------------------------------------------------
 
+def _product_rule(factor, dfactor, dim: int, ddfactor=None):
+    """Evaluators of the separable product prod_d factor(d, x_d) and its derivatives.
+
+    Returns ``(evaluate, gradient, hessian)``; ``hessian`` is None without
+    ``ddfactor``.  ``evaluate`` multiplies the factors in axis order; a
+    partial derivative starts from the differentiated factor(s) and then
+    multiplies in the others in axis order.
+    """
+
+    def partial(lead, differentiated):
+        def g(*coords):
+            out = lead(coords)
+            for e in range(dim):
+                if e not in differentiated:
+                    out = out * factor(e, coords[e])
+            return out
+
+        return g
+
+    def second(i: int, j: int):
+        if i == j:
+            return lambda c: ddfactor(i, c[i])
+        return lambda c: dfactor(i, c[i]) * dfactor(j, c[j])
+
+    evaluate = partial(lambda c: factor(0, c[0]), (0,))
+    gradient = tuple(partial(lambda c, d=d: dfactor(d, c[d]), (d,)) for d in range(dim))
+    if ddfactor is None:
+        return evaluate, gradient, None
+    hessian = tuple(
+        tuple(partial(second(i, j), (i, j)) for j in range(dim)) for i in range(dim)
+    )
+    return evaluate, gradient, hessian
+
+
 def _tensor_potential(ks: Sequence[int], name: str) -> PotentialField:
     """Product well phi(x) = prod_d (1 + sin^2(k_d pi x_d / 2) / 4).
 
@@ -218,7 +252,6 @@ def _tensor_potential(ks: Sequence[int], name: str) -> PotentialField:
     factor has curvature (k pi)^2/8 * cos(k pi x) which changes sign.
     """
     ks = tuple(int(k) for k in ks)
-    dim = len(ks)
 
     def factor(d: int, x):
         return 1.0 + 0.25 * np.sin(0.5 * ks[d] * np.pi * x) ** 2
@@ -230,43 +263,12 @@ def _tensor_potential(ks: Sequence[int], name: str) -> PotentialField:
     def ddfactor(d: int, x):
         return (ks[d] * np.pi) ** 2 / 8.0 * np.cos(ks[d] * np.pi * x)
 
-    def evaluate(*coords):
-        out = factor(0, coords[0])
-        for d in range(1, dim):
-            out = out * factor(d, coords[d])
-        return out
-
-    def grad_component(d: int):
-        def g(*coords):
-            out = dfactor(d, coords[d])
-            for e in range(dim):
-                if e != d:
-                    out = out * factor(e, coords[e])
-            return out
-
-        return g
-
-    def hess_component(i: int, j: int):
-        def hcomp(*coords):
-            if i == j:
-                out = ddfactor(i, coords[i])
-            else:
-                out = dfactor(i, coords[i]) * dfactor(j, coords[j])
-            for e in range(dim):
-                if e not in (i, j):
-                    out = out * factor(e, coords[e])
-            return out
-
-        return hcomp
-
-    convexity = -((ks[0] * np.pi) ** 2) / 8.0 if dim == 1 else None
+    evaluate, gradient, hessian = _product_rule(factor, dfactor, len(ks), ddfactor)
     return PotentialField(
         evaluate=evaluate,
-        gradient=tuple(grad_component(d) for d in range(dim)),
-        hessian=tuple(
-            tuple(hess_component(i, j) for j in range(dim)) for i in range(dim)
-        ),
-        convexity=convexity,
+        gradient=gradient,
+        hessian=hessian,
+        convexity=-((ks[0] * np.pi) ** 2) / 8.0 if len(ks) == 1 else None,
         name=name,
     )
 
@@ -351,25 +353,10 @@ def preset_diffusion_single_mode(dim: int) -> DiffusionField:
         # d/dx [-sin^2(m pi x)/2] = -(m pi / 2) sin(2 m pi x)
         return -(modes[d] * np.pi / 2.0) * np.sin(2.0 * modes[d] * np.pi * x)
 
-    def evaluate(*coords):
-        out = factor(0, coords[0])
-        for d in range(1, dim):
-            out = out * factor(d, coords[d])
-        return out
-
-    def grad_component(d: int):
-        def g(*coords):
-            out = dfactor(d, coords[d])
-            for e in range(dim):
-                if e != d:
-                    out = out * factor(e, coords[e])
-            return out
-
-        return g
-
+    evaluate, gradient, _ = _product_rule(factor, dfactor, dim)
     return DiffusionField(
         evaluate=evaluate,
-        gradient=tuple(grad_component(d) for d in range(dim)),
+        gradient=gradient,
         lower_bound=0.5**dim,
         name="D:single",
     )
@@ -413,26 +400,26 @@ def preset_diffusion_multimode(
         raise ValueError("selection rule leaves no active modes")
 
     A = float(amplitude)
-    n_modes = len(selected)
+    modes = [
+        _product_rule(
+            lambda d, x, m=m: np.cos(0.5 * m[d] * np.pi * x),
+            lambda d, x, m=m: -0.5 * m[d] * np.pi * np.sin(0.5 * m[d] * np.pi * x),
+            dim,
+        )
+        for m in selected
+    ]
 
     def evaluate(*coords):
-        out = 1.0 + A * n_modes + np.zeros(np.broadcast(*coords).shape)
-        for m in selected:
-            term = np.cos(0.5 * m[0] * np.pi * coords[0])
-            for d in range(1, dim):
-                term = term * np.cos(0.5 * m[d] * np.pi * coords[d])
-            out = out + A * term
+        out = 1.0 + A * len(modes) + np.zeros(np.broadcast(*coords).shape)
+        for mode, _, _ in modes:
+            out = out + A * mode(*coords)
         return out
 
     def grad_component(d: int):
         def g(*coords):
             out = np.zeros(np.broadcast(*coords).shape)
-            for m in selected:
-                term = -0.5 * m[d] * np.pi * np.sin(0.5 * m[d] * np.pi * coords[d])
-                for e in range(dim):
-                    if e != d:
-                        term = term * np.cos(0.5 * m[e] * np.pi * coords[e])
-                out = out + A * term
+            for _, mode_gradient, _ in modes:
+                out = out + A * mode_gradient[d](*coords)
             return out
 
         return g

@@ -4,9 +4,9 @@ once per session and shared by every test module that inspects them."""
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from pathlib import Path
 
-import numpy as np
 import pytest
 
 from fpflow import (
@@ -17,25 +17,34 @@ from fpflow import (
     ScalarField,
     SolverConfig,
     TensorGrid,
-    build_grid,
     equilibrium_state,
     run,
 )
-from fpflow.params import build_parameter_set, get_initial_condition
+from fpflow.cli import _EXPERIMENTS, ExperimentSpec, _materialize
+from fpflow.params import build_parameter_set  # noqa: F401 - re-exported to test modules
 
-# The per-dimension experiment settings the acceptance criteria pin
-# (cells, steps, both boundaries; horizons follow the CLI presets).
-FAMILY_SETTINGS = {
-    1: dict(n_cells=200, n_steps=50, t_final=2.5, ic_ref="ic:gauss"),
-    2: dict(n_cells=40, n_steps=10, t_final=1.0, ic_ref="ic:gauss-reg"),
-    3: dict(n_cells=20, n_steps=10, t_final=0.2, ic_ref="ic:gauss-reg-v0.08"),
+
+def materialize(preset: str, boundary: Boundary, **overrides):
+    """(grid, params, f0, config) of a registered CLI experiment, fields overridden."""
+    spec = ExperimentSpec(name=preset, output_dir=Path("."), **_EXPERIMENTS[preset])
+    return _materialize(replace(spec, **overrides), boundary.value)
+
+
+# The pinned figure runs are the fig-fe-{1d,2d,3d}-{hom,D1,DM} experiments,
+# here keyed by (dim, diffusion ref); tests run them on both boundaries.
+PINNED = {
+    (_EXPERIMENTS[name]["dim"], _EXPERIMENTS[name]["diffusion_ref"]): name
+    for name in (f"fig-fe-{dim}d-{s}" for dim in (1, 2, 3) for s in ("hom", "D1", "DM"))
 }
-DIFFUSION_REFS = ("D:homogeneous", "D:single", "D:multi")
+DIFFUSION_REFS = tuple(diff for dim, diff in PINNED if dim == 1)
 BOUNDARIES = (Boundary.PERIODIC, Boundary.NOFLUX)
 
-# Fit window wide enough for the oscillating-mobility wiggle (see the
-# 1D preset registry); used whenever a test fits the 1D decay curves.
-FIT_KWARGS = dict(transient_frac=0.02, floor_rel=3e-15)
+# The 1D experiments' fit window, wide enough for the oscillating-mobility
+# wiggle; used whenever a test fits a decay curve.
+FIT_KWARGS = dict(
+    transient_frac=_EXPERIMENTS["fig-fe-1d-hom"]["fit_transient_frac"],
+    floor_rel=_EXPERIMENTS["fig-fe-1d-hom"]["fit_floor"],
+)
 
 
 @dataclass(frozen=True)
@@ -54,19 +63,10 @@ class PresetRun:
 
 
 def _execute(dim: int, diffusion_ref: str, boundary: Boundary,
-             from_equilibrium: bool, n_steps: int | None) -> PresetRun:
-    settings = FAMILY_SETTINGS[dim]
-    grid = build_grid(dim, settings["n_cells"], boundary)
-    pset = build_parameter_set(dim, diffusion_ref, settings["n_cells"])
+             from_equilibrium: bool) -> PresetRun:
+    overrides = dict(ic_ref="ic:eq", n_steps=50) if from_equilibrium else {}
+    grid, pset, f0, config = materialize(PINNED[dim, diffusion_ref], boundary, **overrides)
     eq = equilibrium_state(pset, grid)
-    if from_equilibrium:
-        f0 = eq.density
-    else:
-        f0 = get_initial_condition(settings["ic_ref"], dim).build(grid)
-    config = SolverConfig(
-        t_final=settings["t_final"],
-        n_steps=settings["n_steps"] if n_steps is None else n_steps,
-    )
     snapshots: list[ScalarField] = []
     t0 = time.perf_counter()
     final, trace = run(
@@ -88,8 +88,7 @@ def preset_run():
     def get(dim: int, diffusion_ref: str, boundary: Boundary) -> PresetRun:
         key = (dim, diffusion_ref, boundary)
         if key not in cache:
-            cache[key] = _execute(dim, diffusion_ref, boundary,
-                                  from_equilibrium=False, n_steps=None)
+            cache[key] = _execute(dim, diffusion_ref, boundary, from_equilibrium=False)
         return cache[key]
 
     return get
@@ -103,8 +102,7 @@ def equilibrium_run():
     def get(dim: int, diffusion_ref: str, boundary: Boundary) -> PresetRun:
         key = (dim, diffusion_ref, boundary)
         if key not in cache:
-            cache[key] = _execute(dim, diffusion_ref, boundary,
-                                  from_equilibrium=True, n_steps=50)
+            cache[key] = _execute(dim, diffusion_ref, boundary, from_equilibrium=True)
         return cache[key]
 
     return get

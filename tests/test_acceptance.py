@@ -8,9 +8,8 @@ figure-preset runs are computed once per session and shared.
 import numpy as np
 
 from fpflow import Boundary, SolverConfig, build_grid, run
-from fpflow.checks import identity_residual
+from fpflow.checks import IDENTITY_REGIMES, identity_residual
 from fpflow.diagnostics import (
-    Regime,
     ckp_check,
     fit_decay_rate,
     max_principle_envelope,
@@ -23,6 +22,7 @@ from tests.conftest import (
     FIT_KWARGS,
     all_preset_keys,
     build_parameter_set,
+    materialize,
     record_acceptance,
 )
 
@@ -94,10 +94,8 @@ def test_criterion_04_rate_ordering(preset_run):
 
 
 def _bc_rate_2d(n_cells: int, boundary: Boundary) -> float:
-    grid = build_grid(2, n_cells, boundary)
-    pset = build_parameter_set(2, "D:single", n_cells)
-    f0 = get_initial_condition("ic:gauss-reg", 2).build(grid)
-    _, trace = run(f0, pset, SolverConfig(t_final=1.0, n_steps=20))
+    _grid, pset, f0, config = materialize("fig-fe-2d-fine-D1", boundary, n_cells=n_cells)
+    _, trace = run(f0, pset, config)
     return fit_decay_rate(trace, "F_rel", **FIT_KWARGS).rate
 
 
@@ -193,17 +191,10 @@ def test_criterion_09_ckp_inequality_on_snapshots(preset_run):
     check(9, "CKP inequality", all_hold, detail)
 
 
-_IDENTITY_REGIMES = (
-    (Regime.HOMOGENEOUS, "D:homogeneous", "pi:unit"),
-    (Regime.INHOMOGENEOUS_D, "D:single", "pi:unit"),
-    (Regime.VARIABLE_MOBILITY, "D:single", "pi:standard"),
-)
-
-
 def test_criterion_10_identity_residual_ladder():
     ladder = (100, 200, 400)
     ok, parts = True, []
-    for regime, diff, mob in _IDENTITY_REGIMES:
+    for regime, diff, mob in IDENTITY_REGIMES:
         residuals = [identity_residual(regime, diff, mob, n)[1] for n in ladder]
         decreasing = all(a > b for a, b in zip(residuals, residuals[1:]))
         ok &= decreasing

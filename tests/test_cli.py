@@ -174,6 +174,17 @@ def test_unwritable_output_directory_exits_1(tmp_path, capsys):
     assert "i/o failure" in err
 
 
+def test_refused_allocation_exits_1_with_one_line(tmp_path, capsys):
+    # 10^18 cells need exabytes, more than any address space, so numpy
+    # refuses the first array at once.
+    code, out, err = run_cli(capsys, [
+        "run", "--n-cells", str(10**18), "--n-steps", "1", "--out", str(tmp_path),
+    ])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("memory failure: ") and err.count("\n") == 1
+
+
 # ----------------------------------------------------------------------
 # config files
 # ----------------------------------------------------------------------

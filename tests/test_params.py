@@ -173,9 +173,13 @@ def test_diffusion_multimode_value_and_count():
     check_gradient(D.evaluate, D.gradient, coords)
 
 
-@pytest.mark.parametrize("dim", [1, 2, 3])
-def test_diffusion_multimode_default_selection(dim):
-    D = get_diffusion("D:multi", dim, 20)
+@pytest.mark.parametrize(
+    "dim, ref",
+    [(1, "D:multi"), (2, "D:multi"), (3, "D:multi"), (3, "D:multi3d-coarse")],
+    ids=["1", "2", "3", "3-coarse"],
+)
+def test_diffusion_multimode_default_selection(dim, ref):
+    D = get_diffusion(ref, dim, 20)
     coords = random_points(dim, seed=6)
     assert np.all(D.evaluate(*coords) >= D.lower_bound - 1e-14)
     check_gradient(D.evaluate, D.gradient, coords)

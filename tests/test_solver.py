@@ -31,9 +31,9 @@ from fpflow import (
     preset_gaussian_ic,
     run,
 )
-from fpflow.params import get_initial_condition, get_mobility
+from fpflow.params import get_mobility
 from fpflow.solver import _bernoulli, _bernoulli_prime
-from tests.conftest import build_parameter_set
+from tests.conftest import build_parameter_set, materialize
 
 
 def gaussian_start(grid, variance=0.05, floor_rel=1e-10):
@@ -467,11 +467,8 @@ def _count_calls(monkeypatch, name, counts, replacement=None):
 
 
 def _coarse_3d_run():
-    # The fig-fe-3d-coarse-DM preset, periodic.
-    grid = build_grid(3, 10, Boundary.PERIODIC)
-    pset = build_parameter_set(3, "D:multi3d-coarse", 10)
-    f0 = get_initial_condition("ic:gauss-reg-v0.08", 3).build(grid)
-    return run(f0, pset, SolverConfig(t_final=0.5, n_steps=5))
+    _grid, pset, f0, config = materialize("fig-fe-3d-coarse-DM", Boundary.PERIODIC)
+    return run(f0, pset, config)
 
 
 def test_3d_newton_systems_are_solved_by_bicgstab(monkeypatch):
