@@ -15,14 +15,17 @@
 import numpy as np
 
 from fpflow import Boundary, SolverConfig, build_grid, run
+from fpflow.cli import _EXPERIMENTS
 from fpflow.diagnostics import fit_decay_rate
 from fpflow.params import build_parameter_set, get_initial_condition
 from fpflow.svgplot import semilogy_svg
 
-grid = build_grid(1, 200, Boundary.PERIODIC)
-params = build_parameter_set(1, "D:single", grid.n_cells)
-f0 = get_initial_condition("ic:gauss", 1).build(grid)
-config = SolverConfig(t_final=2.5, n_steps=50)
+# The settings of the `fpflow run fig-fe-1d-D1` experiment.
+exp = _EXPERIMENTS["fig-fe-1d-D1"]
+grid = build_grid(1, exp["n_cells"], Boundary.PERIODIC)
+params = build_parameter_set(1, exp["diffusion_ref"], grid.n_cells)
+f0 = get_initial_condition(exp["ic_ref"], 1).build(grid)
+config = SolverConfig(t_final=exp["t_final"], n_steps=exp["n_steps"])
 
 final, trace = run(f0, params, config)
 
@@ -33,7 +36,9 @@ print(f"F start -> end              : {trace.F[0]:+.6f} -> {trace.F[-1]:+.6f}")
 print(f"density min/max at the end  : {final.values.min():.4e} / {final.values.max():.4f}")
 
 # Fit log(F - F_eq) = intercept - rate * t on the clean part of the curve.
-fit = fit_decay_rate(trace, "F_rel", transient_frac=0.02, floor_rel=3e-15)
+fit = fit_decay_rate(
+    trace, "F_rel", transient_frac=exp["fit_transient_frac"], floor_rel=exp["fit_floor"]
+)
 print(
     f"decay fit: rate = {fit.rate:.4f}, r^2 = {fit.r_squared:.6f}, "
     f"window = [{fit.window[0]:.2f}, {fit.window[1]:.2f}], {fit.n_points} points"

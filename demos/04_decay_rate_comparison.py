@@ -14,23 +14,27 @@
 # Boundary treatment barely matters at this resolution, so the run uses
 # the periodic wrap.
 
-import numpy as np
-
 from fpflow import Boundary, SolverConfig, build_grid, run
+from fpflow.cli import _EXPERIMENTS
 from fpflow.diagnostics import fit_decay_rate
 from fpflow.params import build_parameter_set, get_initial_condition
 from fpflow.svgplot import semilogy_svg
 
-grid = build_grid(1, 200, Boundary.PERIODIC)
-f0 = get_initial_condition("ic:gauss", 1).build(grid)
-config = SolverConfig(t_final=2.5, n_steps=50)
-
+# The three `fpflow run fig-fe-1d-{hom,D1,DM}` experiments share everything
+# but the diffusion field.
 series = []
 rates = {}
-for ref in ("D:homogeneous", "D:single", "D:multi"):
+for suffix in ("hom", "D1", "DM"):
+    exp = _EXPERIMENTS[f"fig-fe-1d-{suffix}"]
+    ref = exp["diffusion_ref"]
+    grid = build_grid(1, exp["n_cells"], Boundary.PERIODIC)
+    f0 = get_initial_condition(exp["ic_ref"], 1).build(grid)
     params = build_parameter_set(1, ref, grid.n_cells)
+    config = SolverConfig(t_final=exp["t_final"], n_steps=exp["n_steps"])
     _, trace = run(f0, params, config)
-    fit = fit_decay_rate(trace, "F_rel", transient_frac=0.02, floor_rel=3e-15)
+    fit = fit_decay_rate(
+        trace, "F_rel", transient_frac=exp["fit_transient_frac"], floor_rel=exp["fit_floor"]
+    )
     rates[ref] = fit.rate
     series.append((ref, trace.t, trace.F_rel))
     print(f"{ref:15s} rate = {fit.rate:7.3f}   r^2 = {fit.r_squared:.5f}")

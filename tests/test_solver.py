@@ -18,7 +18,6 @@ from fpflow import (
     EnergyTrace,
     NonConvergence,
     ParameterSet,
-    PositivityLoss,
     PotentialField,
     ScalarField,
     SolverConfig,
@@ -32,8 +31,9 @@ from fpflow import (
     run,
 )
 from fpflow.params import get_mobility
-from fpflow.solver import _bernoulli, _bernoulli_prime
-from tests.conftest import build_parameter_set, materialize
+from fpflow.grid import face_divergence
+from fpflow.solver import _bernoulli, _bernoulli_prime, _face_quantities, _flux_field
+from tests.conftest import all_preset_keys, build_parameter_set, materialize
 
 
 def gaussian_start(grid, variance=0.05, floor_rel=1e-10):
@@ -189,6 +189,47 @@ def test_bernoulli_prime_extreme_arguments():
     d = _bernoulli_prime(np.array([800.0, -800.0]))
     assert d[0] == pytest.approx(0.0, abs=1e-300)
     assert d[1] == pytest.approx(-1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("dim, n_cells", [(1, 16), (2, 8), (3, 10)])
+@pytest.mark.parametrize("boundary", [Boundary.PERIODIC, Boundary.NOFLUX])
+@pytest.mark.parametrize("diffusion_ref", ["D:homogeneous", "D:multi"])
+def test_newton_jacobian_matches_finite_differences(
+    monkeypatch, dim, n_cells, boundary, diffusion_ref
+):
+    # Every Jacobian the Newton loop hands to the linear solver, applied to
+    # a random direction, against a central difference of the
+    # backward-Euler residual.  Under D:multi the face weight depends on
+    # log f, so the a_l / a_r terms of dJ/df are active.
+    grid = build_grid(dim, n_cells, boundary)
+    pset = build_parameter_set(dim, diffusion_ref, n_cells)
+    disc = pset.discretize(grid)
+    f_old = gaussian_start(grid, variance=0.03).values
+    t_new, dt = 0.3, 0.1
+
+    def residual(f):
+        flux = _flux_field(grid, _face_quantities(disc, f, t_new, derivatives=False))
+        return (f - f_old + dt * face_divergence(flux)).ravel()
+
+    systems = []
+    inner = solver_mod._linear_solve
+
+    def capture(jac, rhs, f, *args):
+        systems.append((jac, f.reshape(grid.shape).copy()))
+        return inner(jac, rhs, f, *args)
+
+    monkeypatch.setattr(solver_mod, "_linear_solve", capture)
+    backward_euler_step(
+        ScalarField(grid, f_old), pset, t_new, dt, SolverConfig(t_final=1.0, n_steps=1)
+    )
+    assert systems
+    rng = np.random.default_rng(dim)
+    eps = 1e-6
+    for jac, f in systems:
+        v = f * rng.uniform(-1.0, 1.0, grid.shape)
+        fd = (residual(f + eps * v) - residual(f - eps * v)) / (2.0 * eps)
+        jv = jac @ v.ravel()
+        np.testing.assert_allclose(jv, fd, rtol=0.0, atol=1e-7 * np.max(np.abs(jv)))
 
 
 # ----------------------------------------------------------------------
@@ -408,6 +449,29 @@ def test_run_trace_satisfies_core_invariants():
     assert np.all(np.diff(trace.F) <= 10 * config.newton_tol)
     assert np.all(trace.f_min > 0.0)
     assert np.all(trace.F_rel >= -1e-12)
+
+
+@pytest.mark.parametrize("boundary", [Boundary.PERIODIC, Boundary.NOFLUX])
+def test_run_converges_with_a_tolerance_below_roundoff(boundary):
+    # newton_tol = 1e-16 asks for less than double precision can resolve;
+    # Newton must stop at round-off instead of iterating to the cap.
+    grid = build_grid(1, 40, boundary)
+    pset = build_parameter_set(1, "D:single", grid.n_cells)
+    config = SolverConfig(t_final=0.5, n_steps=5, newton_tol=1e-16)
+    _, trace = run(gaussian_start(grid), pset, config)
+    trace.validate()
+    assert np.all(np.diff(trace.F) < 0.0)
+
+
+def test_pinned_1d_and_2d_runs_keep_mass_at_roundoff(preset_run):
+    # The sparse-LU update carries its right-hand side's mass only up to
+    # the factorization's rounding; the density-weighted shift restores it
+    # exactly.  Without the shift, the linear D:homogeneous runs (one
+    # Newton update per step) drift by 2e-14 to 4e-14.
+    for dim, diff, bc in all_preset_keys():
+        if dim < 3:
+            mass = preset_run(dim, diff, bc).trace.mass
+            assert np.max(np.abs(mass - mass[0])) <= 1e-14, (dim, diff, bc)
 
 
 def test_run_prefixes_step_errors_with_the_step_index():
