@@ -8,9 +8,10 @@ plot.  ``fpflow equilibrium`` writes the discrete equilibrium profile.
 ``fpflow verify`` runs the structural self-checks registered in
 :mod:`fpflow.checks` and exits nonzero if any of them fails.
 
-Experiments are described by a flat key/value vocabulary that appears,
-identically, as CLI flags and as ``--config`` file entries; explicit
-flags override the config file, which overrides the preset.
+Experiments are described by a flat key/value vocabulary, the fields of
+:class:`ExperimentSpec`, that appears identically as CLI flags and as
+``--config`` file entries; explicit flags override the config file,
+which overrides the preset, which overrides the field defaults.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Optional
+from typing import Optional, get_type_hints
 
 import numpy as np
 
@@ -39,19 +40,22 @@ class UsageError(Exception):
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Everything needed to reproduce one run, in CLI vocabulary."""
+    """Everything needed to reproduce one run, in CLI vocabulary.
 
-    name: str
-    dim: int
-    n_cells: int
-    n_steps: int
-    t_final: float
-    boundary: str  # "periodic" | "noflux" | "both"
-    potential_ref: str
-    diffusion_ref: str
-    mobility_ref: str
-    ic_ref: str
-    output_dir: Path
+    The fields are the experiment keys; their defaults describe a custom run.
+    """
+
+    name: str = "custom"
+    dim: int = 1
+    n_cells: int = 100
+    n_steps: int = 50
+    t_final: float = 2.0
+    boundary: str = "periodic"  # "periodic" | "noflux" | "both"
+    potential_ref: str = "phi:standard"
+    diffusion_ref: str = "D:homogeneous"
+    mobility_ref: str = "pi:standard"
+    ic_ref: str = "ic:gauss"
+    output_dir: Path = Path(".")
     record_every: int = 1
     fit_transient_frac: float = 0.1
     fit_floor: float = 1e-12
@@ -147,27 +151,15 @@ _register(
     mobility_ref="pi:unit", ic_ref="ic:gauss",
 )
 
-_DEFAULTS = dict(
-    dim=1, n_cells=100, n_steps=50, t_final=2.0,
-    boundary="periodic", potential_ref="phi:standard", diffusion_ref="D:homogeneous",
-    mobility_ref="pi:standard", ic_ref="ic:gauss",
+_FIELD_TYPES = get_type_hints(ExperimentSpec)
+# Config-file keys and the field each sets: every field under its own
+# name, the refs also under their short names, and the output directory
+# only as ``out``.
+_CONFIG_KEYS = {name: name for name in _FIELD_TYPES if name != "output_dir"}
+_CONFIG_KEYS.update(
+    potential="potential_ref", diffusion="diffusion_ref", mobility="mobility_ref",
+    ic="ic_ref", out="output_dir",
 )
-
-# Config-file keys and the type each value is parsed as.
-_KEY_TYPES = {
-    **dict.fromkeys(("dim", "n_cells", "n_steps", "record_every"), int),
-    **dict.fromkeys(("t_final", "fit_transient_frac", "fit_floor", "positivity_floor"), float),
-    **dict.fromkeys(
-        ("name", "boundary", "potential_ref", "diffusion_ref", "mobility_ref", "ic_ref", "out"), str
-    ),
-}
-# Config files and flags use dashes and the short names of the refs.
-_KEY_ALIASES = {
-    "potential": "potential_ref",
-    "diffusion": "diffusion_ref",
-    "mobility": "mobility_ref",
-    "ic": "ic_ref",
-}
 
 
 def _parse_config_file(path: Path) -> dict:
@@ -182,52 +174,35 @@ def _parse_config_file(path: Path) -> dict:
             raise UsageError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
-        key = _KEY_ALIASES.get(key, key)
         value = value.strip()
-        kind = _KEY_TYPES.get(key)
-        if kind is None:
+        if key not in _CONFIG_KEYS:
             raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
+        key = _CONFIG_KEYS[key]
         try:
-            out[key] = kind(value)
+            out[key] = _FIELD_TYPES[key](value)
         except ValueError:
             raise UsageError(f"{path}:{lineno}: invalid value {value!r} for {key}") from None
     return out
 
 
 def _build_spec(args: argparse.Namespace, preset: Optional[str]) -> ExperimentSpec:
-    fields = dict(_DEFAULTS)
-    name = "custom"
+    """The spec's defaults, overlaid by the preset, the config file, then the flags."""
+    values: dict = {}
     if preset is not None:
         if preset not in _EXPERIMENTS:
             raise UsageError(
                 f"unknown experiment preset {preset!r}; known: "
                 + ", ".join(sorted(_EXPERIMENTS))
             )
-        fields.update(_EXPERIMENTS[preset])
-        name = preset
+        values.update(_EXPERIMENTS[preset], name=preset)
     if args.config:
-        file_fields = _parse_config_file(Path(args.config))
-        name = file_fields.pop("name", name)
-        out = file_fields.pop("out", None)
-        if out is not None and args.out is None:
-            args.out = out
-        fields.update(file_fields)
-    for key in (
-        "dim", "n_cells", "n_steps", "t_final", "boundary",
-        "record_every", "fit_transient_frac", "fit_floor", "positivity_floor",
-    ):
+        values.update(_parse_config_file(Path(args.config)))
+    # Each flag is named after the config key it overrides.
+    for key, field_name in _CONFIG_KEYS.items():
         value = getattr(args, key, None)
         if value is not None:
-            fields[key] = value
-    for flag, key in _KEY_ALIASES.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            fields[key] = value
-    if getattr(args, "name", None):
-        name = args.name
-    return ExperimentSpec(
-        name=name, output_dir=Path(args.out if args.out is not None else "."), **fields
-    )
+            values[field_name] = _FIELD_TYPES[field_name](value)
+    return ExperimentSpec(**values)
 
 
 def _expand_boundaries(spec: ExperimentSpec) -> list[tuple[str, str]]:
@@ -245,14 +220,11 @@ def _materialize(spec: ExperimentSpec, boundary: str):
             spec.dim, spec.diffusion_ref, spec.n_cells, mobility_ref=spec.mobility_ref,
             potential_ref=spec.potential_ref, name=spec.name,
         )
-        ic = params_mod.get_initial_condition(spec.ic_ref, spec.dim)
-        f0 = None if ic.build is None else ic.build(grid)
+        f0 = params_mod.get_initial_condition(spec.ic_ref, spec.dim, pset).build(grid)
     except PresetNotFound as exc:
         raise UsageError(str(exc.args[0])) from None
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    if f0 is None:
-        f0 = equilibrium_state(pset, grid).density
     # The solver lifts the initial datum to the floor and then requires
     # unit mass; a floor too large for that is a bad flag, not a crash.
     with np.errstate(over="ignore"):
@@ -415,7 +387,10 @@ def cmd_verify(level: str) -> int:
 # ----------------------------------------------------------------------
 
 def _add_spec_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--name", help="experiment name used in output filenames")
+    # An empty --name keeps the preset's or the config file's name.
+    p.add_argument(
+        "--name", type=lambda s: s or None, help="experiment name used in output filenames"
+    )
     p.add_argument("--dim", type=int, help="spatial dimension (1, 2 or 3)")
     p.add_argument("--n-cells", type=int, dest="n_cells", help="cells per dimension")
     p.add_argument("--n-steps", type=int, dest="n_steps", help="implicit steps")

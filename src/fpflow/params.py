@@ -197,14 +197,10 @@ class Discretization:
 
 @dataclass(frozen=True)
 class InitialCondition:
-    """Named recipe producing a positive ScalarField on a given grid.
-
-    ``build`` may be None for references that need more context to
-    resolve (the equilibrium start, which depends on the parameter set).
-    """
+    """Named recipe producing a positive ScalarField on a given grid."""
 
     name: str
-    build: Optional[Callable[[TensorGrid], ScalarField]] = field(repr=False, default=None)
+    build: Callable[[TensorGrid], ScalarField] = field(repr=False)
 
 
 # ----------------------------------------------------------------------
@@ -608,28 +604,24 @@ def _default_multimode(dim: int, n_cells: int) -> DiffusionField:
     )
 
 
-def get_potential(name: str, dim: int, n_cells: int = 0) -> PotentialField:
+def _resolve(kind: str, table: dict, name: str, dim: int, n_cells: int):
     try:
-        factory = _POTENTIALS[name]
+        factory = table[name]
     except KeyError:
-        raise PresetNotFound("potential", name, _POTENTIALS) from None
+        raise PresetNotFound(kind, name, table) from None
     return factory(dim, n_cells)
+
+
+def get_potential(name: str, dim: int, n_cells: int = 0) -> PotentialField:
+    return _resolve("potential", _POTENTIALS, name, dim, n_cells)
 
 
 def get_diffusion(name: str, dim: int, n_cells: int) -> DiffusionField:
-    try:
-        factory = _DIFFUSIONS[name]
-    except KeyError:
-        raise PresetNotFound("diffusion", name, _DIFFUSIONS) from None
-    return factory(dim, n_cells)
+    return _resolve("diffusion", _DIFFUSIONS, name, dim, n_cells)
 
 
 def get_mobility(name: str, dim: int, n_cells: int = 0) -> MobilityField:
-    try:
-        factory = _MOBILITIES[name]
-    except KeyError:
-        raise PresetNotFound("mobility", name, _MOBILITIES) from None
-    return factory(dim, n_cells)
+    return _resolve("mobility", _MOBILITIES, name, dim, n_cells)
 
 
 def build_parameter_set(dim: int, diffusion_ref: str, n_cells: int,
@@ -649,7 +641,10 @@ def build_parameter_set(dim: int, diffusion_ref: str, n_cells: int,
 _GAUSS_REG_FLOOR = 1e-10
 
 
-def get_initial_condition(name: str, dim: int) -> InitialCondition:
+def get_initial_condition(
+    name: str, dim: int, params: Optional[ParameterSet] = None
+) -> InitialCondition:
+    """The initial datum named by ``name``; ``ic:eq`` needs the parameter set."""
     if name == "ic:gauss":
         return preset_gaussian_ic(dim)
     if name == "ic:gauss-reg":
@@ -660,22 +655,10 @@ def get_initial_condition(name: str, dim: int) -> InitialCondition:
     if name.startswith("ic:gauss-v"):
         return preset_gaussian_ic(dim, variance=float(name[len("ic:gauss-v"):]))
     if name == "ic:eq":
-        # Resolved lazily by the caller, which knows the parameter set.
-        return InitialCondition(name="ic:eq", build=None)
+        if params is None:
+            raise ValueError("initial condition 'ic:eq' needs the parameter set")
+        return preset_equilibrium_ic(params)
     raise PresetNotFound(
         "initial-condition", name,
         ["ic:gauss", "ic:gauss-reg", "ic:gauss-v<var>", "ic:gauss-reg-v<var>", "ic:eq"],
     )
-
-
-def known_presets() -> dict[str, list[str]]:
-    """Names understood by the get_* resolvers, grouped by kind."""
-    return {
-        "potential": sorted(_POTENTIALS),
-        "diffusion": sorted(_DIFFUSIONS),
-        "mobility": sorted(_MOBILITIES),
-        "initial-condition": [
-            "ic:eq", "ic:gauss", "ic:gauss-reg",
-            "ic:gauss-reg-v<var>", "ic:gauss-v<var>",
-        ],
-    }

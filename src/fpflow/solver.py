@@ -56,6 +56,7 @@ the mass of f_old to round-off whatever the linear solver's accuracy.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -147,33 +148,31 @@ class EnergyTrace:
 
     def to_csv(self, target) -> None:
         """Write the trace; floats use repr so the file round-trips bit-exactly."""
-        own = isinstance(target, (str, bytes)) or hasattr(target, "__fspath__")
-        fh = open(target, "w", encoding="ascii", newline="") if own else target
-        try:
+        with _open_or_borrow(target, "w") as fh:
             fh.write(",".join(_TRACE_COLUMNS) + "\n")
             for i in range(len(self.t)):
                 fh.write(
                     ",".join(repr(float(getattr(self, c)[i])) for c in _TRACE_COLUMNS)
                     + "\n"
                 )
-        finally:
-            if own:
-                fh.close()
 
     @classmethod
     def from_csv(cls, source) -> "EnergyTrace":
-        own = isinstance(source, (str, bytes)) or hasattr(source, "__fspath__")
-        fh = open(source, "r", encoding="ascii") if own else source
-        try:
+        with _open_or_borrow(source, "r") as fh:
             lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
-        finally:
-            if own:
-                fh.close()
         if not lines or lines[0] != ",".join(_TRACE_COLUMNS):
             raise ValueError("not an energy-trace CSV (bad header)")
         rows = [[float(tok) for tok in ln.split(",")] for ln in lines[1:]]
         cols = list(zip(*rows)) if rows else [[] for _ in _TRACE_COLUMNS]
         return cls(**{name: np.asarray(col) for name, col in zip(_TRACE_COLUMNS, cols)})
+
+
+def _open_or_borrow(target, mode: str):
+    """A file opened on a path, closed on exit; an open handle is used and left open."""
+    if isinstance(target, (str, bytes)) or hasattr(target, "__fspath__"):
+        # newline="" writes bare "\n"; on reading, strip() drops any ending.
+        return open(target, mode, encoding="ascii", newline="")
+    return contextlib.nullcontext(target)
 
 
 # ----------------------------------------------------------------------
@@ -322,7 +321,8 @@ def _linear_solve(
 ) -> np.ndarray:
     """Solve jac @ x = rhs: BiCGSTAB to ``rtol`` in 3D, SuperLU otherwise or on failure.
 
-    Either way the returned update carries the exact mass of ``rhs``.
+    Either way the returned update carries the exact mass of ``rhs``.  A
+    singular system raises :class:`NonConvergence`.
     """
     info = 1
     if dim == 3:
@@ -332,7 +332,11 @@ def _linear_solve(
         )
         x *= norm
     if info != 0:
-        x = splu(jac).solve(rhs)
+        try:
+            lu = splu(jac)
+        except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+            raise NonConvergence(f"singular Newton system ({exc})") from None
+        x = lu.solve(rhs)
     x += f * ((rhs.sum() - x.sum()) / f.sum())
     return x
 

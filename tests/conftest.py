@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import pytest
 
@@ -26,7 +25,7 @@ from fpflow.params import build_parameter_set  # noqa: F401 - re-exported to tes
 
 def materialize(preset: str, boundary: Boundary, **overrides):
     """(grid, params, f0, config) of a registered CLI experiment, fields overridden."""
-    spec = ExperimentSpec(name=preset, output_dir=Path("."), **_EXPERIMENTS[preset])
+    spec = ExperimentSpec(name=preset, **_EXPERIMENTS[preset])
     return _materialize(replace(spec, **overrides), boundary.value)
 
 

@@ -5,11 +5,21 @@ Everything drives ``main(argv)`` in-process; exit codes follow the
 documented contract (0 success, 1 solver/io failure, 2 usage error).
 """
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from fpflow import checks
-from fpflow.cli import _EXPERIMENTS, UsageError, _max_workers, main
+from fpflow.cli import (
+    _EXPERIMENTS,
+    ExperimentSpec,
+    UsageError,
+    _build_parser,
+    _build_spec,
+    _max_workers,
+    main,
+)
 from fpflow.solver import EnergyTrace
 
 
@@ -185,6 +195,17 @@ def test_refused_allocation_exits_1_with_one_line(tmp_path, capsys):
     assert err.startswith("memory failure: ") and err.count("\n") == 1
 
 
+def test_singular_newton_system_exits_1_with_one_line(tmp_path, capsys):
+    with np.errstate(all="ignore"):
+        code, out, err = run_cli(capsys, [
+            "run", "--t-final", "1e300", "--n-steps", "1", "--out", str(tmp_path),
+        ])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("solver failure: step 1 (t = 1e+300): singular Newton system")
+    assert err.count("\n") == 1
+
+
 # ----------------------------------------------------------------------
 # config files
 # ----------------------------------------------------------------------
@@ -222,6 +243,50 @@ def test_flags_override_config_file(tmp_path, capsys):
     trace = EnergyTrace.from_csv(tmp_path / "flagged_trace.csv")
     assert len(trace) == 13  # flag n-steps beat the config value
     assert not (tmp_path / "cfgrun_trace.csv").exists()
+
+
+# One non-default value per ExperimentSpec field, as (flag, config key, value).
+SPEC_KEY_SAMPLES = {
+    "name": ("--name", "name", "sample"),
+    "dim": ("--dim", "dim", "2"),
+    "n_cells": ("--n-cells", "n-cells", "12"),
+    "n_steps": ("--n-steps", "n_steps", "7"),
+    "t_final": ("--t-final", "t-final", "0.75"),
+    "boundary": ("--boundary", "boundary", "noflux"),
+    "potential_ref": ("--potential", "potential", "phi:quad"),
+    "diffusion_ref": ("--diffusion", "diffusion_ref", "D:single"),
+    "mobility_ref": ("--mobility", "mobility", "pi:unit"),
+    "ic_ref": ("--ic", "ic", "ic:eq"),
+    "output_dir": ("--out", "out", "results"),
+    "record_every": ("--record-every", "record-every", "3"),
+    "fit_transient_frac": ("--fit-transient-frac", "fit_transient_frac", "0.25"),
+    "fit_floor": ("--fit-floor", "fit-floor", "1e-9"),
+    "positivity_floor": ("--positivity-floor", "positivity-floor", "1e-200"),
+}
+
+
+def test_every_spec_field_means_the_same_as_flag_and_as_config_key(tmp_path):
+    assert set(SPEC_KEY_SAMPLES) == {f.name for f in fields(ExperimentSpec)}
+    parser = _build_parser()
+    default = _build_spec(parser.parse_args(["run"]), None)
+    assert default == ExperimentSpec()
+    for field_name, (flag, key, value) in SPEC_KEY_SAMPLES.items():
+        cfg = tmp_path / f"{field_name}.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        by_config = _build_spec(parser.parse_args(["run", "--config", str(cfg)]), None)
+        by_flag = _build_spec(parser.parse_args(["run", flag, value]), None)
+        assert by_config == by_flag, field_name
+        assert getattr(by_flag, field_name) != getattr(default, field_name), field_name
+
+
+def test_empty_name_flag_keeps_the_name_and_empty_name_key_exits_2(tmp_path, capsys):
+    args = _build_parser().parse_args(["run", "quad-dd-1d", "--name", ""])
+    assert _build_spec(args, args.preset).name == "quad-dd-1d"
+    cfg = tmp_path / "named.cfg"
+    cfg.write_text("name = \n")
+    code, _, err = run_cli(capsys, ["run", "--config", str(cfg)])
+    assert code == 2
+    assert "experiment name '' is empty" in err
 
 
 @pytest.mark.parametrize(

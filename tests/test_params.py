@@ -32,13 +32,14 @@ from fpflow import (
     run,
 )
 from fpflow.params import (
+    _DIFFUSIONS,
+    _MOBILITIES,
+    _POTENTIALS,
     ParameterSet,
     get_diffusion,
     get_initial_condition,
     get_mobility,
     get_potential,
-    known_presets,
-    preset_equilibrium_ic,
 )
 from tests.conftest import build_parameter_set
 
@@ -421,17 +422,19 @@ def test_gaussian_ic_names():
 def test_equilibrium_ic_matches_equilibrium_state():
     from fpflow import equilibrium_state
 
-    grid = build_grid(1, 32, Boundary.PERIODIC)
-    pset = ParameterSet(
-        potential=get_potential("phi:standard", 1, 32),
-        diffusion=get_diffusion("D:single", 1, 32),
-        mobility=get_mobility("pi:standard", 1, 32),
-    )
-    ic = preset_equilibrium_ic(pset)
-    assert ic.name == "ic:eq"
-    np.testing.assert_array_equal(
-        ic.build(grid).values, equilibrium_state(pset, grid).density.values
-    )
+    for dim, n_cells in ((1, 32), (2, 12), (3, 6)):
+        grid = build_grid(dim, n_cells, Boundary.PERIODIC)
+        pset = build_parameter_set(dim, "D:single", n_cells)
+        ic = get_initial_condition("ic:eq", dim, pset)
+        assert ic.name == "ic:eq"
+        np.testing.assert_array_equal(
+            ic.build(grid).values, equilibrium_state(pset, grid).density.values
+        )
+
+
+def test_equilibrium_ic_needs_the_parameter_set():
+    with pytest.raises(ValueError, match="'ic:eq' needs the parameter set"):
+        get_initial_condition("ic:eq", 1)
 
 
 # ----------------------------------------------------------------------
@@ -472,13 +475,29 @@ def test_initial_condition_references():
     assert get_initial_condition("ic:gauss-v0.05", 1).name == "ic:gauss-v0.05"
     assert get_initial_condition("ic:gauss-reg", 2).name == "ic:gauss-reg-v0.01"
     assert get_initial_condition("ic:gauss-reg-v0.08", 3).name == "ic:gauss-reg-v0.08"
-    assert get_initial_condition("ic:eq", 1).build is None
+    pset = build_parameter_set(1, "D:homogeneous", 16)
+    assert get_initial_condition("ic:eq", 1, pset).name == "ic:eq"
 
 
-def test_known_presets_lists_everything():
-    known = known_presets()
-    assert set(known) == {"potential", "diffusion", "mobility", "initial-condition"}
-    assert "phi:standard" in known["potential"]
-    assert "D:multi" in known["diffusion"]
-    assert "pi:standard" in known["mobility"]
-    assert "ic:eq" in known["initial-condition"]
+def _known_names(resolve):
+    with pytest.raises(PresetNotFound) as exc:
+        resolve("nope")
+    return set(str(exc.value.args[0]).split("; known: ")[1].split(", "))
+
+
+def test_preset_not_found_lists_every_registered_name():
+    for resolve, table in (
+        (lambda name: get_potential(name, 1, 8), _POTENTIALS),
+        (lambda name: get_diffusion(name, 1, 8), _DIFFUSIONS),
+        (lambda name: get_mobility(name, 1, 8), _MOBILITIES),
+    ):
+        assert _known_names(resolve) == set(table)
+    # Initial conditions are parsed, not tabled: every listed pattern resolves.
+    ic_names = _known_names(lambda name: get_initial_condition(name, 1))
+    assert ic_names == {
+        "ic:gauss", "ic:gauss-reg", "ic:gauss-v<var>", "ic:gauss-reg-v<var>", "ic:eq"
+    }
+    pset = build_parameter_set(1, "D:homogeneous", 8)
+    for name in ic_names:
+        ic = get_initial_condition(name.replace("<var>", "0.05"), 1, pset)
+        assert ic.build(build_grid(1, 8, Boundary.PERIODIC)).values.min() > 0.0

@@ -573,6 +573,23 @@ def test_failed_bicgstab_falls_back_to_splu(monkeypatch):
     np.testing.assert_allclose(direct_final.values, krylov_final.values, rtol=1e-9)
 
 
+@pytest.mark.parametrize("dim, n_cells", [(1, 100), (3, 6)])
+def test_singular_newton_system_is_a_typed_failure(monkeypatch, dim, n_cells):
+    # A step of 1e300 overflows the Jacobian; in 3D BiCGSTAB fails on it
+    # first.  SuperLU then finds the system exactly singular.
+    counts = {}
+    _count_calls(monkeypatch, "splu", counts)
+    grid = build_grid(dim, n_cells, Boundary.PERIODIC)
+    pset = build_parameter_set(dim, "D:homogeneous", n_cells)
+    f0 = preset_gaussian_ic(dim).build(grid)
+    config = SolverConfig(t_final=1e300, n_steps=1)
+    with np.errstate(all="ignore"), pytest.raises(
+        NonConvergence, match=r"^step 1 \(t = 1e\+300\): singular Newton system"
+    ):
+        run(f0, pset, config)
+    assert counts["splu"] >= 1
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("boundary", [Boundary.PERIODIC, Boundary.NOFLUX])
 def test_1d_and_2d_newton_systems_stay_on_splu(monkeypatch, dim, boundary):
