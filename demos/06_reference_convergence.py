@@ -2,9 +2,10 @@
 # =============================================================
 #
 # When D is constant and the mobility is one, the semi-discrete system is
-# linear: df/dt = L f for an explicit matrix L.  The oracle module builds
-# that dense matrix straight from the production flux assembly and
-# integrates it with classic RK4 at a tiny step, giving an independent
+# linear: df/dt = L f for an explicit sparse matrix L.  The oracle module
+# probes that matrix out of the production flux assembly, one bump per
+# colour of non-overlapping columns, and integrates it with classic RK4
+# at a tiny step (each step one sparse matrix), giving an independent
 # reference solution.  Comparing the implicit solver against it at a
 # sequence of halved steps exposes the expected clean first-order error.
 
@@ -19,7 +20,7 @@ params = build_parameter_set(1, "D:homogeneous", grid.n_cells, mobility_ref="pi:
 f0 = get_initial_condition("ic:gauss", 1).build(grid)
 
 op = build_linear_operator(params, grid)
-print(f"dense generator: {op.matrix.shape}, "
+print(f"sparse generator: {op.matrix.shape}, "
       f"max column-sum defect = {np.max(np.abs(op.matrix.sum(axis=0))):.2e}")
 
 t_end = 0.1

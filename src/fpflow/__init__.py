@@ -36,7 +36,7 @@ from .grid import (
     face_gradient,
     integrate,
 )
-from .oracle import DenseOperator, build_linear_operator, reference_evolve, refined_functional
+from .oracle import ProbedOperator, build_linear_operator, reference_evolve, refined_functional
 from .params import (
     DiffusionField,
     InitialCondition,
@@ -70,7 +70,6 @@ __all__ = [
     "Boundary",
     "CKPReport",
     "DecayFit",
-    "DenseOperator",
     "DiffusionField",
     "EnergyTrace",
     "EquilibriumState",
@@ -83,6 +82,7 @@ __all__ = [
     "PositivityLoss",
     "PotentialField",
     "PresetNotFound",
+    "ProbedOperator",
     "Regime",
     "ScalarField",
     "SolverConfig",

@@ -239,7 +239,7 @@ def _chk_oracle_equivalence() -> None:
         f0, pset, dt, dt, SolverConfig(t_final=dt, n_steps=1)
     )
     dense = np.linalg.solve(
-        np.eye(grid.n_total) - dt * op.matrix, f0.values.ravel()
+        np.eye(grid.n_total) - dt * op.matrix.toarray(), f0.values.ravel()
     ).reshape(grid.shape)
     gap = float(np.max(np.abs(stepped.values - dense)))
     assert gap <= 1e-12, f"implicit step deviates from dense solve by {gap:.3e}"

@@ -277,8 +277,12 @@ def _newton_solve(
     rnorm = np.inf
     for it in range(config.newton_max_iters + 1):
         quantities = _face_quantities(disc, f, t_new, derivatives=True)
-        residual = f - f_old + dt * face_divergence(_flux_field(grid, quantities))
-        rnorm = float(np.max(np.abs(residual)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            residual = f - f_old + dt * face_divergence(_flux_field(grid, quantities))
+            rnorm = float(np.max(np.abs(residual)))
+        if not np.isfinite(rnorm):
+            # An overflowing step (dt ~ 1e300) would only feed inf/NaN to the solver.
+            raise NonConvergence(f"non-finite Newton residual ({rnorm}) at iteration {it}")
         if rnorm <= max(tol_abs, roundoff):
             return f
         if it == config.newton_max_iters:

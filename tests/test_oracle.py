@@ -21,6 +21,7 @@ from fpflow import (
     face_divergence,
     free_energy,
     integrate,
+    preset_gaussian_ic,
     reference_evolve,
     refined_functional,
 )
@@ -68,7 +69,7 @@ def test_operator_structure(boundary):
     grid = build_grid(1, 32, boundary)
     pset = linear_problem(32)
     op = build_linear_operator(pset, grid)
-    L = op.matrix
+    L = op.matrix.toarray()
     scale = np.max(np.abs(L))
     # Exact mass conservation: every column sums to zero.
     np.testing.assert_allclose(L.sum(axis=0), 0.0, atol=1e-13 * scale)
@@ -83,6 +84,36 @@ def test_operator_structure(boundary):
             gap = min(abs(i - j), n - abs(i - j)) if boundary is Boundary.PERIODIC else abs(i - j)
             if gap > 1:
                 assert L[i, j] == 0.0
+
+
+def single_column_probes(pset, grid):
+    """The generator probed one unit bump per column, mass-corrected on the diagonal."""
+    n = grid.n_total
+
+    def minus_div(values):
+        return -face_divergence(assemble_flux(ScalarField(grid, values), pset, 0.0)).ravel()
+
+    ones = np.ones(grid.shape)
+    base = minus_div(ones)
+    L = np.empty((n, n))
+    for j in range(n):
+        bump = ones.copy()
+        bump.flat[j] = 2.0
+        L[:, j] = minus_div(bump) - base
+    L[np.arange(n), np.arange(n)] -= L.sum(axis=0)
+    return L
+
+
+@pytest.mark.parametrize("boundary", [Boundary.PERIODIC, Boundary.NOFLUX])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("n_cells", [2, 4, 5, 7, 9])
+def test_coloured_probes_match_single_column_probes(n_cells, dim, boundary):
+    # n covers every n mod 3, including the periodic 2-cell axis whose two
+    # neighbours of a cell coincide.
+    grid = build_grid(dim, n_cells, boundary)
+    pset = build_parameter_set(dim, "D:homogeneous", n_cells, mobility_ref="pi:unit")
+    op = build_linear_operator(pset, grid)
+    np.testing.assert_array_equal(op.matrix.toarray(), single_column_probes(pset, grid))
 
 
 def test_operator_matches_direct_divergence_on_random_densities():
@@ -137,6 +168,27 @@ def test_reference_evolve_validation():
         reference_evolve(op, f0, 0.0)
     with pytest.raises(ValueError, match="dt"):
         reference_evolve(op, f0, 0.1, dt=-1.0)
+
+
+@pytest.mark.parametrize("boundary", [Boundary.PERIODIC, Boundary.NOFLUX])
+@pytest.mark.parametrize("dim, n_cells", [(1, 32), (2, 12), (3, 6)])
+def test_reference_evolve_matches_staged_rk4(dim, n_cells, boundary):
+    grid = build_grid(dim, n_cells, boundary)
+    pset = build_parameter_set(dim, "D:homogeneous", n_cells, mobility_ref="pi:unit")
+    op = build_linear_operator(pset, grid)
+    f0 = preset_gaussian_ic(dim, variance=0.05).build(grid)
+    t_end, n_steps = 0.05, 40
+    L = op.matrix.toarray()
+    step = t_end / n_steps
+    f = f0.values.ravel()
+    for _ in range(n_steps):
+        k1 = L @ f
+        k2 = L @ (f + 0.5 * step * k1)
+        k3 = L @ (f + 0.5 * step * k2)
+        k4 = L @ (f + step * k3)
+        f = f + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    out = reference_evolve(op, f0, t_end, dt=step)
+    np.testing.assert_allclose(out.values.ravel(), f, rtol=0.0, atol=1e-14 * np.max(np.abs(f)))
 
 
 def test_reference_evolve_heat_mode_decay():

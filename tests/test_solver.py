@@ -8,9 +8,11 @@ round-off even with spatially varying diffusion.
 """
 
 import io
+import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import fpflow.solver as solver_mod
 from fpflow import (
@@ -575,19 +577,44 @@ def test_failed_bicgstab_falls_back_to_splu(monkeypatch):
 
 @pytest.mark.parametrize("dim, n_cells", [(1, 100), (3, 6)])
 def test_singular_newton_system_is_a_typed_failure(monkeypatch, dim, n_cells):
-    # A step of 1e300 overflows the Jacobian; in 3D BiCGSTAB fails on it
-    # first.  SuperLU then finds the system exactly singular.
+    # Two equal rows make the system exactly singular; in 3D BiCGSTAB fails
+    # on it first (the right-hand side is not in the range).  SuperLU then
+    # finds a zero pivot.
     counts = {}
     _count_calls(monkeypatch, "splu", counts)
+    n = n_cells**dim
+    jac = sp.eye(n, format="lil")
+    jac[0, 1] = jac[1, 0] = 1.0
+    rhs = np.zeros(n)
+    rhs[0] = 1.0
+    with pytest.raises(NonConvergence, match=r"^singular Newton system \(Factor is exactly singular\)"):
+        solver_mod._linear_solve(jac.tocsc(), rhs, np.ones(n), dim, 1e-10)
+    assert counts["splu"] == 1
+
+
+@pytest.mark.parametrize("dim, n_cells", [(1, 100), (3, 6)])
+def test_non_finite_newton_residual_is_a_typed_failure(monkeypatch, dim, n_cells):
+    # A step of 1e300 leaves the first residual finite (~1e302), and the
+    # first update overflows the next one.  The step fails there, without
+    # a numpy warning and before an inf/NaN system reaches a linear solver.
+    solved = []
+    for name in ("splu", "bicgstab"):
+        def checked(jac, *args, _name=name, _inner=getattr(solver_mod, name), **kwargs):
+            solved.append((_name, bool(np.all(np.isfinite(jac.data)))))
+            return _inner(jac, *args, **kwargs)
+
+        monkeypatch.setattr(solver_mod, name, checked)
     grid = build_grid(dim, n_cells, Boundary.PERIODIC)
     pset = build_parameter_set(dim, "D:homogeneous", n_cells)
     f0 = preset_gaussian_ic(dim).build(grid)
     config = SolverConfig(t_final=1e300, n_steps=1)
-    with np.errstate(all="ignore"), pytest.raises(
-        NonConvergence, match=r"^step 1 \(t = 1e\+300\): singular Newton system"
+    with warnings.catch_warnings(record=True) as caught, pytest.raises(
+        NonConvergence, match=r"^step 1 \(t = 1e\+300\): non-finite Newton residual \(inf\)"
     ):
+        warnings.simplefilter("always")
         run(f0, pset, config)
-    assert counts["splu"] >= 1
+    assert caught == []
+    assert solved == [("splu" if dim == 1 else "bicgstab", True)]
 
 
 @pytest.mark.parametrize("dim", [1, 2])
