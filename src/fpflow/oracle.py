@@ -103,12 +103,10 @@ def build_linear_operator(params: ParameterSet, grid: TensorGrid) -> ProbedOpera
     responses = np.stack([
         minus_div(np.where(colour == c, 2.0, 1.0)) - base for c in range(n_colours)
     ])
-    # The stencil: every cell and the two cells of every face, in row-major
-    # order (np.unique drops the repeats of a 2-cell periodic axis).
-    diag = np.arange(n)
-    rows = np.concatenate((diag, *disc.l_idx, *disc.r_idx))
-    cols = np.concatenate((diag, *disc.r_idx, *disc.l_idx))
-    rows, cols = np.divmod(np.unique(rows * n + cols), n)
+    # The stencil, row-major: the Newton Jacobian's pattern is symmetric,
+    # so its CSC columns read as rows.
+    rows = np.repeat(np.arange(n), np.diff(disc.jac_indptr))
+    cols = disc.jac_indices
     data = responses[colour[cols], rows]
 
     scale = float(np.max(np.abs(data))) or 1.0

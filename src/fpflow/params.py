@@ -147,6 +147,12 @@ class Discretization:
     :func:`~fpflow.grid.adjacent_cell_values` pairs: ``dphi``, ``dD``
     (right minus left), ``Dbar`` and the flat cell indices ``l_idx``,
     ``r_idx``.
+
+    It also holds the Newton Jacobian's sparsity pattern, in CSC form
+    (``jac_indptr``, ``jac_indices``, rows sorted in each column).  The
+    solver lists the Jacobian's COO entries as the diagonal, then per
+    axis the faces' (L, L), (L, R), (R, L) and (R, R) entries;
+    ``jac_slot[k]`` is the CSC position that entry k is summed into.
     """
 
     def __init__(self, grid: TensorGrid, params: ParameterSet):
@@ -168,6 +174,17 @@ class Discretization:
         self.dphi, self.dD, self.Dbar, self.l_idx, self.r_idx = (
             tuple(_read_only(arr) for arr in column) for column in zip(*faces)
         )
+        n = grid.n_total
+        rows, cols = [idx.ravel()], [idx.ravel()]
+        for l_idx, r_idx in zip(self.l_idx, self.r_idx):
+            rows.extend((l_idx, l_idx, r_idx, r_idx))
+            cols.extend((l_idx, r_idx, l_idx, r_idx))
+        keys, slot = np.unique(
+            np.concatenate(cols) * n + np.concatenate(rows), return_inverse=True
+        )
+        self.jac_indptr = _read_only(np.searchsorted(keys, np.arange(n + 1) * n))
+        self.jac_indices = _read_only(keys % n)
+        self.jac_slot = _read_only(slot)
         self._mobility_cache: Optional[tuple[float, np.ndarray, tuple[np.ndarray, ...]]] = None
 
     def _mobility_at(self, t: float) -> tuple[float, np.ndarray, tuple[np.ndarray, ...]]:

@@ -52,6 +52,20 @@ proportion to the current iterate.  That weighting moves a near-empty
 cell only in proportion to its content, where a uniform shift pushes
 cells of size 1e-21 negative.  Each accepted iterate therefore carries
 the mass of f_old to round-off whatever the linear solver's accuracy.
+
+The Jacobian's sparsity pattern is built once, with the
+:class:`~fpflow.params.Discretization`: each iteration sums its COO
+values into the CSC slots with one ``np.bincount``, in COO order, which
+gives the bits of a COO-to-CSC conversion.  One :func:`run` (or one
+:func:`backward_euler_step`) keeps its last Newton matrix with the SuperLU
+factors once they are made.  When the next Jacobian's values are bitwise
+equal to the kept ones, as they are at every update for constant D and a
+time-independent mobility, the kept factors solve it: SuperLU is
+deterministic, so the update has the same bits as with a new
+factorization.  Otherwise the old factors are dropped before the new
+matrix is factored.  The kept factors live only in the call's local
+state, never on the Discretization, which is shared across runs and
+threads.
 """
 
 from __future__ import annotations
@@ -257,21 +271,52 @@ def assemble_flux(f: ScalarField, params: ParameterSet, t: float) -> FaceField:
 # Damped Newton for the backward-Euler step
 # ----------------------------------------------------------------------
 
+class _KeptMatrix:
+    """The last Newton matrix of one run or step, and its SuperLU factors once made.
+
+    A new Jacobian whose values are bitwise equal to the kept matrix's is
+    that matrix, so its factors are reused.  It lives in the local state
+    of one :func:`run` or :func:`backward_euler_step` call, never on the
+    shared :class:`~fpflow.params.Discretization`.
+    """
+
+    def __init__(self, disc: Discretization):
+        self._disc = disc
+        self._matrix: Optional[sp.csc_matrix] = None
+        self._lu = None
+
+    def matrix(self, values: np.ndarray) -> sp.csc_matrix:
+        """The CSC matrix of the COO ``values`` listed in ``jac_slot`` order."""
+        disc = self._disc
+        data = np.bincount(disc.jac_slot, weights=values, minlength=len(disc.jac_indices))
+        if self._matrix is None or not np.array_equal(data, self._matrix.data):
+            self._lu = None  # never hold two factorizations
+            self._matrix = sp.csc_matrix(
+                (data, disc.jac_indices, disc.jac_indptr), shape=(disc.grid.n_total,) * 2
+            )
+        return self._matrix
+
+    def lu(self):
+        """SuperLU factors of the kept matrix, made on the first call."""
+        if self._lu is None:
+            self._lu = _factor(self._matrix)
+        return self._lu
+
+
 def _newton_solve(
     disc: Discretization,
     f_old: np.ndarray,
     t_new: float,
     dt: float,
     config: SolverConfig,
+    kept: _KeptMatrix,
 ) -> np.ndarray:
     grid = disc.grid
-    n = grid.n_total
     scale = max(1.0, float(np.max(np.abs(f_old))))
     tol_abs = config.newton_tol * scale
     roundoff = 64.0 * np.finfo(float).eps * scale
     c = dt / grid.h
-    diag_idx = np.arange(n)
-    ones = np.ones(n)
+    ones = np.ones(grid.n_total)
 
     f = f_old.copy()
     rnorm = np.inf
@@ -291,22 +336,19 @@ def _newton_solve(
                 f"(tolerance {tol_abs:.3e})"
             )
 
-        rows, cols, data = [diag_idx], [diag_idx], [ones]
-        for q, l_idx, r_idx in zip(quantities, disc.l_idx, disc.r_idx):
+        # COO values in the order of disc.jac_slot: the diagonal, then per
+        # axis (L, L), (L, R), (R, L), (R, R).  The face flux is the upper
+        # flux of cell L (+J/h in its divergence) and the lower flux of
+        # cell R (-J/h).
+        data = [ones]
+        for q in quantities:
             jl = (c * q["dJ_dfl"]).ravel()
             jr = (c * q["dJ_dfr"]).ravel()
-            # The face flux is the upper flux of cell L (+J/h in its
-            # divergence) and the lower flux of cell R (-J/h).
-            rows.extend((l_idx, l_idx, r_idx, r_idx))
-            cols.extend((l_idx, r_idx, l_idx, r_idx))
             data.extend((jl, jr, -jl, -jr))
-        jac = sp.coo_matrix(
-            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(n, n),
-        ).tocsc()
+        jac = kept.matrix(np.concatenate(data))
         # Forcing term: solve only as accurately as the Newton test can see.
         rtol = min(0.1, max(1e-13, 0.01 * tol_abs / rnorm))
-        delta = _linear_solve(jac, -residual.ravel(), f.ravel(), grid.dim, rtol)
+        delta = _linear_solve(jac, -residual.ravel(), f.ravel(), grid.dim, rtol, kept)
         delta = delta.reshape(grid.shape)
 
         lam = 1.0
@@ -320,13 +362,27 @@ def _newton_solve(
     raise NonConvergence(f"Newton residual {rnorm:.3e}")  # pragma: no cover
 
 
+def _factor(jac: sp.csc_matrix):
+    try:
+        return splu(jac)
+    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+        raise NonConvergence(f"singular Newton system ({exc})") from None
+
+
 def _linear_solve(
-    jac: sp.csc_matrix, rhs: np.ndarray, f: np.ndarray, dim: int, rtol: float
+    jac: sp.csc_matrix,
+    rhs: np.ndarray,
+    f: np.ndarray,
+    dim: int,
+    rtol: float,
+    kept: Optional[_KeptMatrix] = None,
 ) -> np.ndarray:
     """Solve jac @ x = rhs: BiCGSTAB to ``rtol`` in 3D, SuperLU otherwise or on failure.
 
-    Either way the returned update carries the exact mass of ``rhs``.  A
-    singular system raises :class:`NonConvergence`.
+    ``kept``, when given, is the :class:`_KeptMatrix` that made ``jac``,
+    and SuperLU uses its factors.  Either way the returned update carries
+    the exact mass of ``rhs``.  A singular system raises
+    :class:`NonConvergence`.
     """
     info = 1
     if dim == 3:
@@ -336,11 +392,7 @@ def _linear_solve(
         )
         x *= norm
     if info != 0:
-        try:
-            lu = splu(jac)
-        except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
-            raise NonConvergence(f"singular Newton system ({exc})") from None
-        x = lu.solve(rhs)
+        x = (kept.lu() if kept is not None else _factor(jac)).solve(rhs)
     x += f * ((rhs.sum() - x.sum()) / f.sum())
     return x
 
@@ -358,7 +410,8 @@ def backward_euler_step(
     if np.any(f_old.values <= 0.0):
         raise ValueError("backward_euler_step requires a strictly positive start")
     disc = params.discretize(f_old.grid)
-    return ScalarField(f_old.grid, _newton_solve(disc, f_old.values, t_new, dt, config))
+    f = _newton_solve(disc, f_old.values, t_new, dt, config, _KeptMatrix(disc))
+    return ScalarField(f_old.grid, f)
 
 
 def run(
@@ -402,10 +455,11 @@ def run(
 
     record(0.0, vals)
     f = vals
+    kept = _KeptMatrix(disc)
     for k in range(1, config.n_steps + 1):
         t_new = k * dt
         try:
-            f = _newton_solve(disc, f, t_new, dt, config)
+            f = _newton_solve(disc, f, t_new, dt, config, kept)
         except (NonConvergence, PositivityLoss) as exc:
             raise type(exc)(f"step {k} (t = {t_new:.6g}): {exc}") from None
         if on_step is not None:

@@ -8,11 +8,14 @@ round-off even with spatially varying diffusion.
 """
 
 import io
+import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import SuperLU
 
 import fpflow.solver as solver_mod
 from fpflow import (
@@ -26,6 +29,7 @@ from fpflow import (
     assemble_flux,
     backward_euler_step,
     build_grid,
+    dissipation,
     equilibrium_state,
     free_energy,
     integrate,
@@ -232,6 +236,29 @@ def test_newton_jacobian_matches_finite_differences(
         fd = (residual(f + eps * v) - residual(f - eps * v)) / (2.0 * eps)
         jv = jac @ v.ravel()
         np.testing.assert_allclose(jv, fd, rtol=0.0, atol=1e-7 * np.max(np.abs(jv)))
+
+
+@pytest.mark.parametrize("dim, n_cells", [(1, 2), (1, 16), (2, 3), (2, 8), (3, 2), (3, 5)])
+@pytest.mark.parametrize("boundary", [Boundary.PERIODIC, Boundary.NOFLUX])
+def test_jacobian_pattern_sums_like_coo_to_csc(dim, n_cells, boundary):
+    # The once-built pattern, filled by np.bincount, against the COO -> CSC
+    # conversion of the same entries, bit for bit.  A 2-cell periodic axis
+    # lists each off-diagonal entry twice, so duplicates are summed there.
+    grid = build_grid(dim, n_cells, boundary)
+    disc = build_parameter_set(dim, "D:homogeneous", n_cells).discretize(grid)
+    diag = np.arange(grid.n_total)
+    rows, cols = [diag], [diag]
+    for l_idx, r_idx in zip(disc.l_idx, disc.r_idx):
+        rows.extend((l_idx, l_idx, r_idx, r_idx))
+        cols.extend((l_idx, r_idx, l_idx, r_idx))
+    values = np.random.default_rng(n_cells).uniform(-1.0, 1.0, len(disc.jac_slot))
+    expected = sp.coo_matrix(
+        (values, (np.concatenate(rows), np.concatenate(cols))), shape=(grid.n_total,) * 2
+    ).tocsc()
+    expected.sort_indices()
+    jac = solver_mod._KeptMatrix(disc).matrix(values)
+    for name in ("indptr", "indices", "data"):
+        np.testing.assert_array_equal(getattr(jac, name), getattr(expected, name))
 
 
 # ----------------------------------------------------------------------
@@ -628,6 +655,95 @@ def test_1d_and_2d_newton_systems_stay_on_splu(monkeypatch, dim, boundary):
     run(gaussian_start(grid), pset, SolverConfig(t_final=0.3, n_steps=3))
     assert counts.get("bicgstab", 0) == 0
     assert counts["splu"] >= 3
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("boundary", [Boundary.PERIODIC, Boundary.NOFLUX])
+@pytest.mark.parametrize(
+    "diffusion_ref, mobility_ref, factorizations",
+    [
+        # Linear and autonomous: one Newton matrix for the whole run.
+        ("D:homogeneous", "pi:unit", lambda steps, updates: 1),
+        # Linear, but the mobility moves with t: one matrix per step.
+        ("D:homogeneous", "pi:standard", lambda steps, updates: steps),
+        # Nonlinear: every Newton update has a matrix of its own.
+        ("D:multi", "pi:standard", lambda steps, updates: updates),
+    ],
+)
+def test_run_factors_each_distinct_newton_matrix_once(
+    monkeypatch, dim, boundary, diffusion_ref, mobility_ref, factorizations
+):
+    counts = {}
+    _count_calls(monkeypatch, "splu", counts)
+    _count_calls(monkeypatch, "_linear_solve", counts)
+    grid = build_grid(dim, 24 if dim == 1 else 12, boundary)
+    pset = build_parameter_set(dim, diffusion_ref, grid.n_cells, mobility_ref=mobility_ref)
+    config = SolverConfig(t_final=0.3, n_steps=3)
+    run(gaussian_start(grid), pset, config)
+    updates = counts["_linear_solve"]
+    assert updates >= config.n_steps
+    assert counts["splu"] == factorizations(config.n_steps, updates)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("boundary", [Boundary.PERIODIC, Boundary.NOFLUX])
+def test_reused_factors_give_the_bits_of_fresh_ones(monkeypatch, dim, boundary):
+    # run() factors the constant matrix once; a loop of single steps
+    # factors it again at every step.  Trace and states agree bit for bit.
+    counts = {}
+    _count_calls(monkeypatch, "splu", counts)
+    grid = build_grid(dim, 24 if dim == 1 else 12, boundary)
+    pset = build_parameter_set(dim, "D:homogeneous", grid.n_cells, mobility_ref="pi:unit")
+    config = SolverConfig(t_final=0.3, n_steps=4)
+    f0 = gaussian_start(grid)
+    final, trace = run(f0, pset, config)
+    assert counts.pop("splu") == 1
+
+    dt = config.t_final / config.n_steps
+    eq = equilibrium_state(pset, grid)
+    states, times = [f0], [0.0]
+    for k in range(1, config.n_steps + 1):
+        states.append(backward_euler_step(states[-1], pset, k * dt, dt, config))
+        times.append(k * dt)
+    assert counts["splu"] == config.n_steps
+    np.testing.assert_array_equal(final.values, states[-1].values)
+    energies = [free_energy(f, pset) for f in states]
+    expected = {
+        "t": times,
+        "mass": [integrate(f) for f in states],
+        "F": energies,
+        "F_rel": [F - eq.free_energy for F in energies],
+        "D_dis": [dissipation(f, pset, t) for f, t in zip(states, times)],
+        "f_min": [f.values.min() for f in states],
+        "f_max": [f.values.max() for f in states],
+    }
+    for name, column in expected.items():
+        np.testing.assert_array_equal(getattr(trace, name), column)
+
+
+def test_concurrent_runs_on_one_discretization_match_serial_runs():
+    # Two runs with different steps share one ParameterSet, grid and so
+    # Discretization.  Factors kept on that shared object would be read
+    # by the other thread.
+    grid = build_grid(2, 16, Boundary.PERIODIC)
+    pset = build_parameter_set(2, "D:homogeneous", grid.n_cells, mobility_ref="pi:unit")
+    f0 = gaussian_start(grid)
+    configs = [SolverConfig(t_final=0.3, n_steps=n) for n in (6, 10)]
+    serial = [run(f0, pset, config) for config in configs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            threaded = list(pool.map(lambda config: run(f0, pset, config), configs, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    for (s_final, s_trace), (t_final, t_trace) in zip(serial, threaded):
+        np.testing.assert_array_equal(t_final.values, s_final.values)
+        for name in ("t", "mass", "F", "F_rel", "D_dis", "f_min", "f_max"):
+            np.testing.assert_array_equal(getattr(t_trace, name), getattr(s_trace, name))
+    disc = pset.discretize(grid)
+    kept_kinds = (SuperLU, solver_mod._KeptMatrix)
+    assert not any(isinstance(v, kept_kinds) for v in vars(disc).values())
 
 
 @pytest.mark.parametrize("boundary", [Boundary.PERIODIC, Boundary.NOFLUX])
