@@ -136,6 +136,12 @@ class ParameterSet:
         return self._discretizations[grid]
 
 
+# The Newton Jacobian's entries of a face after the diagonal: (row, column) over
+# its cells (L, R).  The face flux enters the divergence of cell L with +J/h and
+# of cell R with -J/h; the column picks dJ/df_L or dJ/df_R.
+_FACE_ENTRIES = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
 class Discretization:
     """One parameter set's coefficients on one grid; all arrays read-only.
 
@@ -148,11 +154,10 @@ class Discretization:
     (right minus left), ``Dbar`` and the flat cell indices ``l_idx``,
     ``r_idx``.
 
-    It also holds the Newton Jacobian's sparsity pattern, in CSC form
-    (``jac_indptr``, ``jac_indices``, rows sorted in each column).  The
-    solver lists the Jacobian's COO entries as the diagonal, then per
-    axis the faces' (L, L), (L, R), (R, L) and (R, R) entries;
-    ``jac_slot[k]`` is the CSC position that entry k is summed into.
+    It also lists the backward-Euler Newton Jacobian, the one place that
+    does: the sparsity pattern is built once, in CSC form (``jac_indptr``,
+    ``jac_indices``, rows sorted in each column), and
+    :meth:`jacobian_values` fills it from the faces' flux derivatives.
     """
 
     def __init__(self, grid: TensorGrid, params: ParameterSet):
@@ -176,16 +181,35 @@ class Discretization:
         )
         n = grid.n_total
         rows, cols = [idx.ravel()], [idx.ravel()]
-        for l_idx, r_idx in zip(self.l_idx, self.r_idx):
-            rows.extend((l_idx, l_idx, r_idx, r_idx))
-            cols.extend((l_idx, r_idx, l_idx, r_idx))
+        for cells in zip(self.l_idx, self.r_idx):
+            rows.extend(cells[row] for row, _ in _FACE_ENTRIES)
+            cols.extend(cells[col] for _, col in _FACE_ENTRIES)
         keys, slot = np.unique(
             np.concatenate(cols) * n + np.concatenate(rows), return_inverse=True
         )
         self.jac_indptr = _read_only(np.searchsorted(keys, np.arange(n + 1) * n))
         self.jac_indices = _read_only(keys % n)
-        self.jac_slot = _read_only(slot)
+        self._jac_slot = _read_only(slot)
         self._mobility_cache: Optional[tuple[float, np.ndarray, tuple[np.ndarray, ...]]] = None
+
+    def jacobian_values(
+        self, face_derivatives: Sequence[tuple[np.ndarray, np.ndarray]], c: float
+    ) -> np.ndarray:
+        """CSC values of I + c * d(div J)/df on ``jac_indptr`` and ``jac_indices``.
+
+        ``face_derivatives`` holds per axis the faces' (dJ/df_L, dJ/df_R)
+        and ``c`` is dt / h.  One ``np.bincount`` sums the COO values into
+        their slots, which gives the bits of a COO-to-CSC conversion.
+        """
+        values = [np.ones(self.grid.n_total)]
+        for derivatives in face_derivatives:
+            scaled = [(c * dj).ravel() for dj in derivatives]
+            values.extend(
+                scaled[col] if row == 0 else -scaled[col] for row, col in _FACE_ENTRIES
+            )
+        return np.bincount(
+            self._jac_slot, weights=np.concatenate(values), minlength=len(self.jac_indices)
+        )
 
     def _mobility_at(self, t: float) -> tuple[float, np.ndarray, tuple[np.ndarray, ...]]:
         cached = self._mobility_cache
@@ -379,14 +403,13 @@ def preset_diffusion_multimode(
     dim: int,
     mode_caps: Sequence[int],
     amplitude: float = 0.01,
-    selection_rule: str = "all",
 ) -> DiffusionField:
     """Oscillatory multi-mode diffusion built from half-frequency cosines.
 
     D(x) = 1 + sum_m A (prod_d cos(m_d pi x_d / 2) + 1) over the selected
     multi-indices 1 <= m_d <= mode_caps[d].  Each summand is nonnegative,
-    so D >= 1 everywhere.  ``selection_rule`` picks the active indices:
-    "all", "m1<m2" (strictly increasing pair), or "m1>=m2>=m3".
+    so D >= 1 everywhere.  The dimension picks the active indices: all of
+    them in 1D, m1 < m2 in 2D, m1 >= m2 >= m3 in 3D.
     """
     mode_caps = tuple(int(m) for m in mode_caps)
     if len(mode_caps) != dim:
@@ -397,18 +420,8 @@ def preset_diffusion_multimode(
         raise ValueError("amplitude must be positive")
 
     ranges = [range(1, cap + 1) for cap in mode_caps]
-    if selection_rule == "all":
-        selected = list(itertools.product(*ranges))
-    elif selection_rule == "m1<m2":
-        if dim != 2:
-            raise ValueError("selection rule 'm1<m2' requires dim == 2")
-        selected = [m for m in itertools.product(*ranges) if m[0] < m[1]]
-    elif selection_rule == "m1>=m2>=m3":
-        if dim != 3:
-            raise ValueError("selection rule 'm1>=m2>=m3' requires dim == 3")
-        selected = [m for m in itertools.product(*ranges) if m[0] >= m[1] >= m[2]]
-    else:
-        raise ValueError(f"unknown selection rule {selection_rule!r}")
+    keep = {2: lambda m: m[0] < m[1], 3: lambda m: m[0] >= m[1] >= m[2]}
+    selected = [m for m in itertools.product(*ranges) if keep.get(dim, lambda m: True)(m)]
     if not selected:
         raise ValueError("selection rule leaves no active modes")
 
@@ -593,7 +606,7 @@ _DIFFUSIONS = {
     "D:single": lambda dim, n: preset_diffusion_single_mode(dim),
     "D:multi": lambda dim, n: _default_multimode(dim, n),
     "D:multi3d-coarse": lambda dim, n: _require_dim(3, dim, "D:multi3d-coarse")
-    or preset_diffusion_multimode(3, (5, 3, 4), amplitude=0.04, selection_rule="m1>=m2>=m3"),
+    or preset_diffusion_multimode(3, (5, 3, 4), amplitude=0.04),
 }
 
 _MOBILITIES = {
@@ -611,14 +624,10 @@ def _require_dim(want: int, got: int, name: str) -> None:
 def _default_multimode(dim: int, n_cells: int) -> DiffusionField:
     """Grid-matched mode caps: more cells resolve more diffusion modes."""
     if dim == 1:
-        return preset_diffusion_multimode(1, (n_cells // 2,), 0.01, "all")
+        return preset_diffusion_multimode(1, (n_cells // 2,))
     if dim == 2:
-        return preset_diffusion_multimode(
-            2, (n_cells // 2, n_cells // 4), 0.01, "m1<m2"
-        )
-    return preset_diffusion_multimode(
-        3, (n_cells // 2, max(n_cells // 2 - 2, 1), 4), 0.01, "m1>=m2>=m3"
-    )
+        return preset_diffusion_multimode(2, (n_cells // 2, n_cells // 4))
+    return preset_diffusion_multimode(3, (n_cells // 2, max(n_cells // 2 - 2, 1), 4))
 
 
 def _resolve(kind: str, table: dict, name: str, dim: int, n_cells: int):

@@ -53,11 +53,13 @@ cell only in proportion to its content, where a uniform shift pushes
 cells of size 1e-21 negative.  Each accepted iterate therefore carries
 the mass of f_old to round-off whatever the linear solver's accuracy.
 
-The Jacobian's sparsity pattern is built once, with the
-:class:`~fpflow.params.Discretization`: each iteration sums its COO
-values into the CSC slots with one ``np.bincount``, in COO order, which
-gives the bits of a COO-to-CSC conversion.  One :func:`run` (or one
-:func:`backward_euler_step`) keeps its last Newton matrix with the SuperLU
+The :class:`~fpflow.params.Discretization` lists the Jacobian: it builds
+the sparsity pattern once and fills it from the faces' dJ/df_L and
+dJ/df_R.  Each flux evaluation keeps the face terms those derivatives
+reuse, and dJ/df is formed only after the residual test has failed, for
+the update that follows: the iteration that stops forms none.  One
+:func:`run` (or one :func:`backward_euler_step`) solves its Newton
+systems through one object, which keeps the last matrix with its SuperLU
 factors once they are made.  When the next Jacobian's values are bitwise
 equal to the kept ones, as they are at every update for constant D and a
 time-independent mobility, the kept factors solve it: SuperLU is
@@ -227,10 +229,12 @@ def _bernoulli_prime(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _face_quantities(
-    disc: Discretization, f: np.ndarray, t: float, derivatives: bool
-) -> list[dict]:
-    """Per-axis interior-face flux J and, optionally, dJ/df_L and dJ/df_R."""
+def _face_quantities(disc: Discretization, f: np.ndarray, t: float) -> list[dict]:
+    """Per-axis interior-face flux J, with the face terms its derivatives reuse.
+
+    Each axis carries J and f_L, f_R, a, coef, B(-a), B(a), from which
+    :func:`_face_derivatives` forms dJ/df when a Newton update needs it.
+    """
     grid = disc.grid
     logf = np.log(f)
     faces = zip(disc.dphi, disc.dD, disc.Dbar, disc.pibar(t))
@@ -242,14 +246,24 @@ def _face_quantities(
         coef = dbar / (pibar * grid.h)
         b_m = _bernoulli(-a)
         b_p = _bernoulli(a)
-        q = {"J": coef * (b_m * f_l - b_p * f_r)}
-        if derivatives:
-            s = f_l * _bernoulli_prime(-a) + f_r * _bernoulli_prime(a)
-            a_l = -dD / (2.0 * dbar * f_l)
-            a_r = -dD / (2.0 * dbar * f_r)
-            q["dJ_dfl"] = coef * (b_m - a_l * s)
-            q["dJ_dfr"] = coef * (-b_p - a_r * s)
-        out.append(q)
+        out.append({
+            "J": coef * (b_m * f_l - b_p * f_r),
+            "f_l": f_l, "f_r": f_r, "a": a, "coef": coef, "b_m": b_m, "b_p": b_p,
+        })
+    return out
+
+
+def _face_derivatives(
+    disc: Discretization, quantities: list[dict]
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per-axis (dJ/df_L, dJ/df_R) from the face terms of :func:`_face_quantities`."""
+    out = []
+    for q, dD, dbar in zip(quantities, disc.dD, disc.Dbar):
+        f_l, f_r = q["f_l"], q["f_r"]
+        s = f_l * _bernoulli_prime(-q["a"]) + f_r * _bernoulli_prime(q["a"])
+        a_l = -dD / (2.0 * dbar * f_l)
+        a_r = -dD / (2.0 * dbar * f_r)
+        out.append((q["coef"] * (q["b_m"] - a_l * s), q["coef"] * (-q["b_p"] - a_r * s)))
     return out
 
 
@@ -263,7 +277,7 @@ def assemble_flux(f: ScalarField, params: ParameterSet, t: float) -> FaceField:
     """Exponential-fitted face flux of the density f at time t."""
     if np.any(f.values <= 0.0):
         raise ValueError("assemble_flux requires a strictly positive density")
-    quantities = _face_quantities(params.discretize(f.grid), f.values, t, derivatives=False)
+    quantities = _face_quantities(params.discretize(f.grid), f.values, t)
     return _flux_field(f.grid, quantities)
 
 
@@ -271,13 +285,14 @@ def assemble_flux(f: ScalarField, params: ParameterSet, t: float) -> FaceField:
 # Damped Newton for the backward-Euler step
 # ----------------------------------------------------------------------
 
-class _KeptMatrix:
-    """The last Newton matrix of one run or step, and its SuperLU factors once made.
+class _NewtonSystem:
+    """Solves the Newton systems of one run or step, keeping the last matrix.
 
-    A new Jacobian whose values are bitwise equal to the kept matrix's is
-    that matrix, so its factors are reused.  It lives in the local state
-    of one :func:`run` or :func:`backward_euler_step` call, never on the
-    shared :class:`~fpflow.params.Discretization`.
+    The matrix is kept with its SuperLU factors once they are made; a new
+    Jacobian whose values are bitwise equal to the kept ones is that
+    matrix, so its factors are reused.  It lives in the local state of one
+    :func:`run` or :func:`backward_euler_step` call, never on the shared
+    :class:`~fpflow.params.Discretization`.
     """
 
     def __init__(self, disc: Discretization):
@@ -285,22 +300,36 @@ class _KeptMatrix:
         self._matrix: Optional[sp.csc_matrix] = None
         self._lu = None
 
-    def matrix(self, values: np.ndarray) -> sp.csc_matrix:
-        """The CSC matrix of the COO ``values`` listed in ``jac_slot`` order."""
+    def solve(self, data: np.ndarray, rhs: np.ndarray, f: np.ndarray, rtol: float) -> np.ndarray:
+        """Solve A x = rhs for the CSC values ``data`` of A on the Jacobian pattern.
+
+        BiCGSTAB to ``rtol`` in 3D; SuperLU otherwise or when BiCGSTAB
+        fails.  The returned update carries the exact mass of ``rhs``.  A
+        singular system raises :class:`NonConvergence`.
+        """
         disc = self._disc
-        data = np.bincount(disc.jac_slot, weights=values, minlength=len(disc.jac_indices))
         if self._matrix is None or not np.array_equal(data, self._matrix.data):
             self._lu = None  # never hold two factorizations
             self._matrix = sp.csc_matrix(
                 (data, disc.jac_indices, disc.jac_indptr), shape=(disc.grid.n_total,) * 2
             )
-        return self._matrix
-
-    def lu(self):
-        """SuperLU factors of the kept matrix, made on the first call."""
-        if self._lu is None:
-            self._lu = _factor(self._matrix)
-        return self._lu
+        jac = self._matrix
+        info = 1
+        if disc.grid.dim == 3:
+            norm = float(np.max(np.abs(rhs)))
+            x, info = bicgstab(
+                jac, rhs / norm, rtol=rtol, atol=0.0, M=sp.diags(1.0 / jac.diagonal())
+            )
+            x *= norm
+        if info != 0:
+            if self._lu is None:
+                try:
+                    self._lu = splu(jac)
+                except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+                    raise NonConvergence(f"singular Newton system ({exc})") from None
+            x = self._lu.solve(rhs)
+        x += f * ((rhs.sum() - x.sum()) / f.sum())
+        return x
 
 
 def _newton_solve(
@@ -309,19 +338,18 @@ def _newton_solve(
     t_new: float,
     dt: float,
     config: SolverConfig,
-    kept: _KeptMatrix,
+    system: _NewtonSystem,
 ) -> np.ndarray:
     grid = disc.grid
     scale = max(1.0, float(np.max(np.abs(f_old))))
     tol_abs = config.newton_tol * scale
     roundoff = 64.0 * np.finfo(float).eps * scale
     c = dt / grid.h
-    ones = np.ones(grid.n_total)
 
     f = f_old.copy()
     rnorm = np.inf
     for it in range(config.newton_max_iters + 1):
-        quantities = _face_quantities(disc, f, t_new, derivatives=True)
+        quantities = _face_quantities(disc, f, t_new)
         with np.errstate(over="ignore", invalid="ignore"):
             residual = f - f_old + dt * face_divergence(_flux_field(grid, quantities))
             rnorm = float(np.max(np.abs(residual)))
@@ -336,20 +364,10 @@ def _newton_solve(
                 f"(tolerance {tol_abs:.3e})"
             )
 
-        # COO values in the order of disc.jac_slot: the diagonal, then per
-        # axis (L, L), (L, R), (R, L), (R, R).  The face flux is the upper
-        # flux of cell L (+J/h in its divergence) and the lower flux of
-        # cell R (-J/h).
-        data = [ones]
-        for q in quantities:
-            jl = (c * q["dJ_dfl"]).ravel()
-            jr = (c * q["dJ_dfr"]).ravel()
-            data.extend((jl, jr, -jl, -jr))
-        jac = kept.matrix(np.concatenate(data))
+        data = disc.jacobian_values(_face_derivatives(disc, quantities), c)
         # Forcing term: solve only as accurately as the Newton test can see.
         rtol = min(0.1, max(1e-13, 0.01 * tol_abs / rnorm))
-        delta = _linear_solve(jac, -residual.ravel(), f.ravel(), grid.dim, rtol, kept)
-        delta = delta.reshape(grid.shape)
+        delta = system.solve(data, -residual.ravel(), f.ravel(), rtol).reshape(grid.shape)
 
         lam = 1.0
         while np.any(f + lam * delta <= 0.0):
@@ -360,41 +378,6 @@ def _newton_solve(
                 )
         f = f + lam * delta
     raise NonConvergence(f"Newton residual {rnorm:.3e}")  # pragma: no cover
-
-
-def _factor(jac: sp.csc_matrix):
-    try:
-        return splu(jac)
-    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
-        raise NonConvergence(f"singular Newton system ({exc})") from None
-
-
-def _linear_solve(
-    jac: sp.csc_matrix,
-    rhs: np.ndarray,
-    f: np.ndarray,
-    dim: int,
-    rtol: float,
-    kept: Optional[_KeptMatrix] = None,
-) -> np.ndarray:
-    """Solve jac @ x = rhs: BiCGSTAB to ``rtol`` in 3D, SuperLU otherwise or on failure.
-
-    ``kept``, when given, is the :class:`_KeptMatrix` that made ``jac``,
-    and SuperLU uses its factors.  Either way the returned update carries
-    the exact mass of ``rhs``.  A singular system raises
-    :class:`NonConvergence`.
-    """
-    info = 1
-    if dim == 3:
-        norm = float(np.max(np.abs(rhs)))
-        x, info = bicgstab(
-            jac, rhs / norm, rtol=rtol, atol=0.0, M=sp.diags(1.0 / jac.diagonal())
-        )
-        x *= norm
-    if info != 0:
-        x = (kept.lu() if kept is not None else _factor(jac)).solve(rhs)
-    x += f * ((rhs.sum() - x.sum()) / f.sum())
-    return x
 
 
 def backward_euler_step(
@@ -410,7 +393,7 @@ def backward_euler_step(
     if np.any(f_old.values <= 0.0):
         raise ValueError("backward_euler_step requires a strictly positive start")
     disc = params.discretize(f_old.grid)
-    f = _newton_solve(disc, f_old.values, t_new, dt, config, _KeptMatrix(disc))
+    f = _newton_solve(disc, f_old.values, t_new, dt, config, _NewtonSystem(disc))
     return ScalarField(f_old.grid, f)
 
 
@@ -455,11 +438,11 @@ def run(
 
     record(0.0, vals)
     f = vals
-    kept = _KeptMatrix(disc)
+    system = _NewtonSystem(disc)
     for k in range(1, config.n_steps + 1):
         t_new = k * dt
         try:
-            f = _newton_solve(disc, f, t_new, dt, config, kept)
+            f = _newton_solve(disc, f, t_new, dt, config, system)
         except (NonConvergence, PositivityLoss) as exc:
             raise type(exc)(f"step {k} (t = {t_new:.6g}): {exc}") from None
         if on_step is not None:

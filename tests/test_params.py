@@ -165,8 +165,8 @@ def test_diffusion_single_mode_1d_touches_lower_bound():
 
 
 def test_diffusion_multimode_value_and_count():
-    # caps (3, 3) with the strictly-increasing rule selects (1,2),(1,3),(2,3).
-    D = preset_diffusion_multimode(2, (3, 3), amplitude=0.01, selection_rule="m1<m2")
+    # caps (3, 3) with the 2D strictly-increasing rule selects (1,2),(1,3),(2,3).
+    D = preset_diffusion_multimode(2, (3, 3), amplitude=0.01)
     at_origin = D.evaluate(np.array([0.0]), np.array([0.0]))[0]
     assert at_origin == pytest.approx(1.0 + 0.01 * 2 * 3, rel=1e-14)
     coords = random_points(2, seed=5)
@@ -193,13 +193,9 @@ def test_diffusion_multimode_validation():
         preset_diffusion_multimode(1, (0,))
     with pytest.raises(ValueError):
         preset_diffusion_multimode(1, (2,), amplitude=0.0)
-    with pytest.raises(ValueError):
-        preset_diffusion_multimode(1, (2,), selection_rule="m1<m2")
-    with pytest.raises(ValueError):
-        preset_diffusion_multimode(1, (2,), selection_rule="nope")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="no active modes"):
         # cap 1 leaves no strictly increasing pair
-        preset_diffusion_multimode(2, (1, 1), selection_rule="m1<m2")
+        preset_diffusion_multimode(2, (1, 1))
 
 
 def test_diffusion_lower_bound_must_be_positive():

@@ -8,6 +8,7 @@ round-off even with spatially varying diffusion.
 """
 
 import io
+import re
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -214,17 +215,18 @@ def test_newton_jacobian_matches_finite_differences(
     t_new, dt = 0.3, 0.1
 
     def residual(f):
-        flux = _flux_field(grid, _face_quantities(disc, f, t_new, derivatives=False))
+        flux = _flux_field(grid, _face_quantities(disc, f, t_new))
         return (f - f_old + dt * face_divergence(flux)).ravel()
 
     systems = []
-    inner = solver_mod._linear_solve
+    inner = solver_mod._NewtonSystem.solve
 
-    def capture(jac, rhs, f, *args):
+    def capture(self, data, rhs, f, rtol):
+        jac = sp.csc_matrix((data, disc.jac_indices, disc.jac_indptr), shape=(grid.n_total,) * 2)
         systems.append((jac, f.reshape(grid.shape).copy()))
-        return inner(jac, rhs, f, *args)
+        return inner(self, data, rhs, f, rtol)
 
-    monkeypatch.setattr(solver_mod, "_linear_solve", capture)
+    monkeypatch.setattr(solver_mod._NewtonSystem, "solve", capture)
     backward_euler_step(
         ScalarField(grid, f_old), pset, t_new, dt, SolverConfig(t_final=1.0, n_steps=1)
     )
@@ -241,24 +243,33 @@ def test_newton_jacobian_matches_finite_differences(
 @pytest.mark.parametrize("dim, n_cells", [(1, 2), (1, 16), (2, 3), (2, 8), (3, 2), (3, 5)])
 @pytest.mark.parametrize("boundary", [Boundary.PERIODIC, Boundary.NOFLUX])
 def test_jacobian_pattern_sums_like_coo_to_csc(dim, n_cells, boundary):
-    # The once-built pattern, filled by np.bincount, against the COO -> CSC
-    # conversion of the same entries, bit for bit.  A 2-cell periodic axis
-    # lists each off-diagonal entry twice, so duplicates are summed there.
+    # The once-built pattern, filled by Discretization.jacobian_values,
+    # against the COO -> CSC conversion of the same entries, bit for bit.
+    # A 2-cell periodic axis lists each off-diagonal entry twice, so
+    # duplicates are summed there.
     grid = build_grid(dim, n_cells, boundary)
     disc = build_parameter_set(dim, "D:homogeneous", n_cells).discretize(grid)
+    rng = np.random.default_rng(n_cells)
+    c = 0.37
     diag = np.arange(grid.n_total)
-    rows, cols = [diag], [diag]
+    rows, cols, values = [diag], [diag], [np.ones(grid.n_total)]
+    derivatives = []
     for l_idx, r_idx in zip(disc.l_idx, disc.r_idx):
+        dfl, dfr = rng.uniform(-1.0, 1.0, (2,) + l_idx.shape)
+        derivatives.append((dfl, dfr))
+        jl, jr = c * dfl, c * dfr
+        # The face flux enters cell L's divergence with +, cell R's with -.
         rows.extend((l_idx, l_idx, r_idx, r_idx))
         cols.extend((l_idx, r_idx, l_idx, r_idx))
-    values = np.random.default_rng(n_cells).uniform(-1.0, 1.0, len(disc.jac_slot))
+        values.extend((jl, jr, -jl, -jr))
     expected = sp.coo_matrix(
-        (values, (np.concatenate(rows), np.concatenate(cols))), shape=(grid.n_total,) * 2
+        (np.concatenate(values), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(grid.n_total,) * 2,
     ).tocsc()
     expected.sort_indices()
-    jac = solver_mod._KeptMatrix(disc).matrix(values)
-    for name in ("indptr", "indices", "data"):
-        np.testing.assert_array_equal(getattr(jac, name), getattr(expected, name))
+    np.testing.assert_array_equal(disc.jac_indptr, expected.indptr)
+    np.testing.assert_array_equal(disc.jac_indices, expected.indices)
+    np.testing.assert_array_equal(disc.jacobian_values(derivatives, c), expected.data)
 
 
 # ----------------------------------------------------------------------
@@ -548,15 +559,19 @@ def test_backward_euler_is_first_order_in_time():
 # ----------------------------------------------------------------------
 
 
-def _count_calls(monkeypatch, name, counts, replacement=None):
-    """Wrap ``fpflow.solver.<name>`` so that each call bumps ``counts[name]``."""
-    inner = replacement or getattr(solver_mod, name)
+def _count_calls(monkeypatch, name, counts, replacement=None, owner=solver_mod):
+    """Wrap ``owner.<name>`` so that each call bumps ``counts[name]``.
+
+    ``owner`` is ``fpflow.solver`` or a class in it, whose method is then
+    wrapped.
+    """
+    inner = replacement or getattr(owner, name)
 
     def counted(*args, **kwargs):
         counts[name] = counts.get(name, 0) + 1
         return inner(*args, **kwargs)
 
-    monkeypatch.setattr(solver_mod, name, counted)
+    monkeypatch.setattr(owner, name, counted)
 
 
 def _coarse_3d_run():
@@ -568,21 +583,45 @@ def test_3d_newton_systems_are_solved_by_bicgstab(monkeypatch):
     counts = {}
     _count_calls(monkeypatch, "splu", counts)
     _count_calls(monkeypatch, "bicgstab", counts)
-    faces = solver_mod._face_quantities
-    newton_evals = []
-
-    def counted_faces(disc, f, t, derivatives):
-        newton_evals.append(derivatives)
-        return faces(disc, f, t, derivatives)
-
-    monkeypatch.setattr(solver_mod, "_face_quantities", counted_faces)
+    _count_calls(monkeypatch, "_face_derivatives", counts)
+    _count_calls(monkeypatch, "solve", counts, owner=solver_mod._NewtonSystem)
     _final, trace = _coarse_3d_run()
     trace.validate()
-    # Each step evaluates the Jacobian once per solve plus once to stop.
-    newton_iters = sum(newton_evals) - 5
-    assert newton_iters >= 5
+    updates = counts["solve"]
+    assert updates == counts["_face_derivatives"]
+    assert updates >= 5
     assert counts.get("splu", 0) == 0
-    assert counts["bicgstab"] >= newton_iters
+    assert counts["bicgstab"] >= updates
+
+
+@pytest.mark.parametrize("dim, n_cells", [(1, 24), (2, 12), (3, 8)])
+@pytest.mark.parametrize("boundary", [Boundary.PERIODIC, Boundary.NOFLUX])
+@pytest.mark.parametrize("diffusion_ref", ["D:homogeneous", "D:multi"])
+def test_flux_derivatives_are_formed_once_per_newton_update(
+    monkeypatch, dim, n_cells, boundary, diffusion_ref
+):
+    # Each step evaluates the flux (F), and after a failed residual test
+    # forms dJ/df (D) and solves (S); the evaluation that stops a step
+    # forms no derivatives.
+    events = []
+
+    def tagged(tag, inner):
+        def wrapped(*args, **kwargs):
+            events.append(tag)
+            return inner(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(solver_mod, "_face_quantities", tagged("F", solver_mod._face_quantities))
+    monkeypatch.setattr(solver_mod, "_face_derivatives", tagged("D", solver_mod._face_derivatives))
+    monkeypatch.setattr(
+        solver_mod._NewtonSystem, "solve", tagged("S", solver_mod._NewtonSystem.solve)
+    )
+    grid = build_grid(dim, n_cells, boundary)
+    pset = build_parameter_set(dim, diffusion_ref, n_cells)
+    config = SolverConfig(t_final=0.3, n_steps=3)
+    run(gaussian_start(grid), pset, config)
+    assert re.fullmatch(r"((FDS)+F){%d}" % config.n_steps, "".join(events))
 
 
 def test_failed_bicgstab_falls_back_to_splu(monkeypatch):
@@ -609,13 +648,19 @@ def test_singular_newton_system_is_a_typed_failure(monkeypatch, dim, n_cells):
     # finds a zero pivot.
     counts = {}
     _count_calls(monkeypatch, "splu", counts)
-    n = n_cells**dim
+    grid = build_grid(dim, n_cells, Boundary.PERIODIC)
+    disc = build_parameter_set(dim, "D:homogeneous", n_cells).discretize(grid)
+    n = grid.n_total
     jac = sp.eye(n, format="lil")
     jac[0, 1] = jac[1, 0] = 1.0
+    # The same matrix as values on the Jacobian pattern, which holds (0, 1).
+    cols = np.repeat(np.arange(n), np.diff(disc.jac_indptr))
+    data = np.asarray(jac.tocsr()[disc.jac_indices, cols]).ravel()
+    assert data.sum() == n + 2
     rhs = np.zeros(n)
     rhs[0] = 1.0
     with pytest.raises(NonConvergence, match=r"^singular Newton system \(Factor is exactly singular\)"):
-        solver_mod._linear_solve(jac.tocsc(), rhs, np.ones(n), dim, 1e-10)
+        solver_mod._NewtonSystem(disc).solve(data, rhs, np.ones(n), 1e-10)
     assert counts["splu"] == 1
 
 
@@ -675,12 +720,12 @@ def test_run_factors_each_distinct_newton_matrix_once(
 ):
     counts = {}
     _count_calls(monkeypatch, "splu", counts)
-    _count_calls(monkeypatch, "_linear_solve", counts)
+    _count_calls(monkeypatch, "solve", counts, owner=solver_mod._NewtonSystem)
     grid = build_grid(dim, 24 if dim == 1 else 12, boundary)
     pset = build_parameter_set(dim, diffusion_ref, grid.n_cells, mobility_ref=mobility_ref)
     config = SolverConfig(t_final=0.3, n_steps=3)
     run(gaussian_start(grid), pset, config)
-    updates = counts["_linear_solve"]
+    updates = counts["solve"]
     assert updates >= config.n_steps
     assert counts["splu"] == factorizations(config.n_steps, updates)
 
@@ -742,7 +787,7 @@ def test_concurrent_runs_on_one_discretization_match_serial_runs():
         for name in ("t", "mass", "F", "F_rel", "D_dis", "f_min", "f_max"):
             np.testing.assert_array_equal(getattr(t_trace, name), getattr(s_trace, name))
     disc = pset.discretize(grid)
-    kept_kinds = (SuperLU, solver_mod._KeptMatrix)
+    kept_kinds = (SuperLU, solver_mod._NewtonSystem)
     assert not any(isinstance(v, kept_kinds) for v in vars(disc).values())
 
 
