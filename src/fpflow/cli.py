@@ -419,8 +419,15 @@ def _add_spec_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="flat key=value file with spec defaults")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are one stderr line, exit status 2."""
+
+    def error(self, message: str):
+        self.exit(2, f"error: {self.prog}: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fpflow",
         description="Finite-volume drift-diffusion runs and diagnostics.",
         epilog="experiment presets: " + ", ".join(sorted(_EXPERIMENTS)),

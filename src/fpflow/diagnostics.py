@@ -29,10 +29,8 @@ from .grid import (
     Boundary,
     FaceField,
     ScalarField,
-    adjacent_cell_values,
     cell_average_of_faces,
     cell_mean_square_of_faces,
-    embed_interior_faces,
     face_difference_at_cells,
 )
 from .params import ParameterSet
@@ -105,16 +103,10 @@ def free_energy(f: ScalarField, params: ParameterSet) -> float:
 def velocity(f: ScalarField, params: ParameterSet, t: float) -> FaceField:
     """Face-centered transport velocity -grad(D log f + phi) / pi."""
     _require_positive(f.values, "velocity")
-    grid = f.grid
-    disc = params.discretize(grid)
-    mu = disc.D * np.log(f.values) + disc.phi
-    pibar = disc.pibar(t)
-    comps = []
-    for axis in range(grid.dim):
-        mu_l, mu_r = adjacent_cell_values(mu, axis, grid.boundary)
-        u = -(mu_r - mu_l) / (pibar[axis] * grid.h)
-        comps.append(embed_interior_faces(u, grid, axis))
-    return FaceField(grid, tuple(comps))
+    disc = params.discretize(f.grid)
+    mu = (disc.D * np.log(f.values) + disc.phi).ravel()
+    u = -(mu[disc.r_idx] - mu[disc.l_idx]) / (disc.pibar(t) * f.grid.h)
+    return disc.face_field(u)
 
 
 def dissipation(f: ScalarField, params: ParameterSet, t: float) -> float:

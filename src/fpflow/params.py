@@ -7,7 +7,8 @@ broadcast, so a sparse meshgrid evaluates a whole grid in one call; the
 mobility additionally takes the time ``t`` as its last argument.
 
 All grid discretizations are midpoint rules: a cell carries the value of
-the analytic function at its center.
+the analytic function at its center; :class:`Discretization` keeps them
+with the grid's one list of interior faces.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .grid import ScalarField, TensorGrid, adjacent_cell_values
+from .grid import FaceField, ScalarField, TensorGrid, adjacent_cell_values, embed_interior_faces
 
 
 def _full(grid: TensorGrid, arr) -> np.ndarray:
@@ -136,12 +137,6 @@ class ParameterSet:
         return self._discretizations[grid]
 
 
-# The Newton Jacobian's entries of a face after the diagonal: (row, column) over
-# its cells (L, R).  The face flux enters the divergence of cell L with +J/h and
-# of cell R with -J/h; the column picks dJ/df_L or dJ/df_R.
-_FACE_ENTRIES = ((0, 0), (0, 1), (1, 0), (1, 1))
-
-
 class Discretization:
     """One parameter set's coefficients on one grid; all arrays read-only.
 
@@ -149,10 +144,10 @@ class Discretization:
     values phi, D and pi, and a face carries the arithmetic mean of D and
     of pi over its two cells.  The solver's flux and the diagnostics'
     velocity both read it here, which keeps the discrete equilibrium an
-    exact fixed point with zero dissipation.  Per axis, over the faces
-    :func:`~fpflow.grid.adjacent_cell_values` pairs: ``dphi``, ``dD``
-    (right minus left), ``Dbar`` and the flat cell indices ``l_idx``,
-    ``r_idx``.
+    exact fixed point with zero dissipation.  It lists every non-boundary
+    face once, axis after axis, each as :func:`~fpflow.grid.adjacent_cell_values`
+    pairs them: ``l_idx``, ``r_idx`` (flat cell indices), ``dphi``, ``dD``
+    (right minus left) and ``Dbar`` are flat arrays over that list.
 
     It also lists the backward-Euler Newton Jacobian, the one place that
     does: the sparsity pattern is built once, in CSC form (``jac_indptr``,
@@ -167,63 +162,63 @@ class Discretization:
         self.D = _read_only(params.diffusion.on_grid(grid))
         if np.any(self.D <= 0.0):
             raise ValueError("diffusion must be positive on the grid")
-        idx = np.arange(grid.n_total).reshape(grid.shape)
-        faces = []
-        for axis in range(grid.dim):
-            phi_l, phi_r = adjacent_cell_values(self.phi, axis, grid.boundary)
-            d_l, d_r = adjacent_cell_values(self.D, axis, grid.boundary)
-            l_idx, r_idx = adjacent_cell_values(idx, axis, grid.boundary)
-            faces.append((
-                phi_r - phi_l, d_r - d_l, 0.5 * (d_l + d_r), l_idx.ravel(), r_idx.ravel()
-            ))
-        self.dphi, self.dD, self.Dbar, self.l_idx, self.r_idx = (
-            tuple(_read_only(arr) for arr in column) for column in zip(*faces)
-        )
         n = grid.n_total
-        rows, cols = [idx.ravel()], [idx.ravel()]
-        for cells in zip(self.l_idx, self.r_idx):
-            rows.extend(cells[row] for row, _ in _FACE_ENTRIES)
-            cols.extend(cells[col] for _, col in _FACE_ENTRIES)
-        keys, slot = np.unique(
-            np.concatenate(cols) * n + np.concatenate(rows), return_inverse=True
-        )
+        cells = np.arange(n)
+        pairs = [adjacent_cell_values(cells.reshape(grid.shape), axis, grid.boundary)
+                 for axis in range(grid.dim)]
+        self._face_shapes = tuple(l_idx.shape for l_idx, _ in pairs)
+        L = self.l_idx = _read_only(np.concatenate([l_idx.ravel() for l_idx, _ in pairs]))
+        R = self.r_idx = _read_only(np.concatenate([r_idx.ravel() for _, r_idx in pairs]))
+        phi, D = self.phi.ravel(), self.D.ravel()
+        self.dphi = _read_only(phi[R] - phi[L])
+        self.dD = _read_only(D[R] - D[L])
+        self.Dbar = _read_only(0.5 * (D[L] + D[R]))
+        # Jacobian COO entries in jacobian_values' order: the diagonal, then
+        # (L, L), (L, R), (R, L), (R, R) of every face.
+        rows = np.concatenate((cells, L, L, R, R))
+        cols = np.concatenate((cells, L, R, L, R))
+        keys, slot = np.unique(cols * n + rows, return_inverse=True)
         self.jac_indptr = _read_only(np.searchsorted(keys, np.arange(n + 1) * n))
         self.jac_indices = _read_only(keys % n)
         self._jac_slot = _read_only(slot)
-        self._mobility_cache: Optional[tuple[float, np.ndarray, tuple[np.ndarray, ...]]] = None
+        self._mobility_cache: Optional[tuple[float, np.ndarray, np.ndarray]] = None
 
-    def jacobian_values(
-        self, face_derivatives: Sequence[tuple[np.ndarray, np.ndarray]], c: float
-    ) -> np.ndarray:
+    def divergence(self, face_values: np.ndarray) -> np.ndarray:
+        """Cell-wise divergence of values on the face list: +J/h into L, -J/h into R."""
+        n = self.grid.n_total
+        net = np.bincount(self.l_idx, face_values, n) - np.bincount(self.r_idx, face_values, n)
+        return (net / self.grid.h).reshape(self.grid.shape)
+
+    def face_field(self, face_values: np.ndarray) -> FaceField:
+        """The :class:`~fpflow.grid.FaceField` of values on the face list."""
+        parts = np.split(face_values, np.cumsum([np.prod(s) for s in self._face_shapes])[:-1])
+        return FaceField(self.grid, tuple(
+            embed_interior_faces(part.reshape(shape), self.grid, axis)
+            for axis, (part, shape) in enumerate(zip(parts, self._face_shapes))
+        ))
+
+    def jacobian_values(self, dj_l: np.ndarray, dj_r: np.ndarray, c: float) -> np.ndarray:
         """CSC values of I + c * d(div J)/df on ``jac_indptr`` and ``jac_indices``.
 
-        ``face_derivatives`` holds per axis the faces' (dJ/df_L, dJ/df_R)
-        and ``c`` is dt / h.  One ``np.bincount`` sums the COO values into
+        ``dj_l`` and ``dj_r`` are the faces' dJ/df_L and dJ/df_R and ``c``
+        is dt / h.  The face flux enters cell L's divergence with + and
+        cell R's with -.  One ``np.bincount`` sums the COO values into
         their slots, which gives the bits of a COO-to-CSC conversion.
         """
-        values = [np.ones(self.grid.n_total)]
-        for derivatives in face_derivatives:
-            scaled = [(c * dj).ravel() for dj in derivatives]
-            values.extend(
-                scaled[col] if row == 0 else -scaled[col] for row, col in _FACE_ENTRIES
-            )
-        return np.bincount(
-            self._jac_slot, weights=np.concatenate(values), minlength=len(self.jac_indices)
-        )
+        jl, jr = c * dj_l, c * dj_r
+        values = np.concatenate((np.ones(self.grid.n_total), jl, jr, -jl, -jr))
+        return np.bincount(self._jac_slot, weights=values, minlength=len(self.jac_indices))
 
-    def _mobility_at(self, t: float) -> tuple[float, np.ndarray, tuple[np.ndarray, ...]]:
+    def _mobility_at(self, t: float) -> tuple[float, np.ndarray, np.ndarray]:
         cached = self._mobility_cache
         if cached is None or t != cached[0]:
             pi = _read_only(self.mobility.on_grid(self.grid, t))
             if np.any(pi <= 0.0):
                 raise ValueError(f"mobility must be positive on the grid at t = {t}")
-            pibar = []
-            for axis in range(self.grid.dim):
-                pi_l, pi_r = adjacent_cell_values(pi, axis, self.grid.boundary)
-                pibar.append(_read_only(0.5 * (pi_l + pi_r)))
+            flat = pi.ravel()
             # Replaced whole, never updated in place, so that concurrent
             # readers always see the pi and pibar of one time.
-            cached = (t, pi, tuple(pibar))
+            cached = (t, pi, _read_only(0.5 * (flat[self.l_idx] + flat[self.r_idx])))
             self._mobility_cache = cached
         return cached
 
@@ -231,8 +226,8 @@ class Discretization:
         """Cell values of the mobility at time t."""
         return self._mobility_at(t)[1]
 
-    def pibar(self, t: float) -> tuple[np.ndarray, ...]:
-        """Per-axis face means of the mobility at time t."""
+    def pibar(self, t: float) -> np.ndarray:
+        """Face means of the mobility at time t, over the face list."""
         return self._mobility_at(t)[2]
 
 
@@ -675,11 +670,12 @@ def get_initial_condition(
         return preset_gaussian_ic(dim)
     if name == "ic:gauss-reg":
         return preset_gaussian_ic(dim, floor_rel=_GAUSS_REG_FLOOR)
-    if name.startswith("ic:gauss-reg-v"):
-        variance = float(name[len("ic:gauss-reg-v"):])
-        return preset_gaussian_ic(dim, variance=variance, floor_rel=_GAUSS_REG_FLOOR)
-    if name.startswith("ic:gauss-v"):
-        return preset_gaussian_ic(dim, variance=float(name[len("ic:gauss-v"):]))
+    for prefix, floor_rel in (("ic:gauss-reg-v", _GAUSS_REG_FLOOR), ("ic:gauss-v", 0.0)):
+        if name.startswith(prefix):
+            try:
+                return preset_gaussian_ic(dim, float(name[len(prefix):]), floor_rel)
+            except ValueError as exc:
+                raise ValueError(f"initial condition {name!r}: {exc}") from None
     if name == "ic:eq":
         if params is None:
             raise ValueError("initial condition 'ic:eq' needs the parameter set")

@@ -53,10 +53,12 @@ cell only in proportion to its content, where a uniform shift pushes
 cells of size 1e-21 negative.  Each accepted iterate therefore carries
 the mass of f_old to round-off whatever the linear solver's accuracy.
 
-The :class:`~fpflow.params.Discretization` lists the Jacobian: it builds
-the sparsity pattern once and fills it from the faces' dJ/df_L and
-dJ/df_R.  Each flux evaluation keeps the face terms those derivatives
-reuse, and dJ/df is formed only after the residual test has failed, for
+The :class:`~fpflow.params.Discretization` lists every interior face
+once: the flux and dJ/df_L, dJ/df_R gather cell values through each
+face's two cell indices, and the residual scatters J back to the cells.
+It also lists the Jacobian: it builds the sparsity pattern once and
+fills it from dJ/df.  Each flux evaluation keeps the face terms those
+derivatives reuse, and dJ/df is formed only after the residual test has failed, for
 the update that follows: the iteration that stops forms none.  One
 :func:`run` (or one :func:`backward_euler_step`) solves its Newton
 systems through one object, which keeps the last matrix with its SuperLU
@@ -82,15 +84,7 @@ from scipy.sparse.linalg import bicgstab, splu
 
 from .diagnostics import dissipation, free_energy
 from .equilibrium import equilibrium_state
-from .grid import (
-    FaceField,
-    ScalarField,
-    TensorGrid,
-    adjacent_cell_values,
-    embed_interior_faces,
-    face_divergence,
-    integrate,
-)
+from .grid import FaceField, ScalarField, integrate
 from .params import Discretization, ParameterSet
 
 
@@ -175,10 +169,16 @@ class EnergyTrace:
     @classmethod
     def from_csv(cls, source) -> "EnergyTrace":
         with _open_or_borrow(source, "r") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
-        if not lines or lines[0] != ",".join(_TRACE_COLUMNS):
+            lines = [(k, ln.strip()) for k, ln in enumerate(fh, 1)
+                     if ln.strip() and not ln.startswith("#")]
+        if not lines or lines[0][1] != ",".join(_TRACE_COLUMNS):
             raise ValueError("not an energy-trace CSV (bad header)")
-        rows = [[float(tok) for tok in ln.split(",")] for ln in lines[1:]]
+        rows = []
+        for k, ln in lines[1:]:
+            row = ln.split(",")
+            if len(row) != len(_TRACE_COLUMNS):
+                raise ValueError(f"line {k} has {len(row)} fields, the header {len(_TRACE_COLUMNS)}")
+            rows.append([float(tok) for tok in row])
         cols = list(zip(*rows)) if rows else [[] for _ in _TRACE_COLUMNS]
         return cls(**{name: np.asarray(col) for name, col in zip(_TRACE_COLUMNS, cols)})
 
@@ -229,56 +229,40 @@ def _bernoulli_prime(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _face_quantities(disc: Discretization, f: np.ndarray, t: float) -> list[dict]:
-    """Per-axis interior-face flux J, with the face terms its derivatives reuse.
+def _face_quantities(disc: Discretization, f: np.ndarray, t: float) -> dict:
+    """Flux J on the Discretization's face list, with the face terms its derivatives reuse.
 
-    Each axis carries J and f_L, f_R, a, coef, B(-a), B(a), from which
+    Beside J it holds f_L, f_R, a, coef, B(-a) and B(a), from which
     :func:`_face_derivatives` forms dJ/df when a Newton update needs it.
     """
-    grid = disc.grid
-    logf = np.log(f)
-    faces = zip(disc.dphi, disc.dD, disc.Dbar, disc.pibar(t))
-    out = []
-    for axis, (dphi, dD, dbar, pibar) in enumerate(faces):
-        f_l, f_r = adjacent_cell_values(f, axis, grid.boundary)
-        lf_l, lf_r = adjacent_cell_values(logf, axis, grid.boundary)
-        a = -(dphi + 0.5 * (lf_l + lf_r) * dD) / dbar
-        coef = dbar / (pibar * grid.h)
-        b_m = _bernoulli(-a)
-        b_p = _bernoulli(a)
-        out.append({
-            "J": coef * (b_m * f_l - b_p * f_r),
-            "f_l": f_l, "f_r": f_r, "a": a, "coef": coef, "b_m": b_m, "b_p": b_p,
-        })
-    return out
+    flat = f.ravel()
+    logf = np.log(flat)
+    f_l, f_r = flat[disc.l_idx], flat[disc.r_idx]
+    a = -(disc.dphi + 0.5 * (logf[disc.l_idx] + logf[disc.r_idx]) * disc.dD) / disc.Dbar
+    coef = disc.Dbar / (disc.pibar(t) * disc.grid.h)
+    b_m = _bernoulli(-a)
+    b_p = _bernoulli(a)
+    return {
+        "J": coef * (b_m * f_l - b_p * f_r),
+        "f_l": f_l, "f_r": f_r, "a": a, "coef": coef, "b_m": b_m, "b_p": b_p,
+    }
 
 
-def _face_derivatives(
-    disc: Discretization, quantities: list[dict]
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per-axis (dJ/df_L, dJ/df_R) from the face terms of :func:`_face_quantities`."""
-    out = []
-    for q, dD, dbar in zip(quantities, disc.dD, disc.Dbar):
-        f_l, f_r = q["f_l"], q["f_r"]
-        s = f_l * _bernoulli_prime(-q["a"]) + f_r * _bernoulli_prime(q["a"])
-        a_l = -dD / (2.0 * dbar * f_l)
-        a_r = -dD / (2.0 * dbar * f_r)
-        out.append((q["coef"] * (q["b_m"] - a_l * s), q["coef"] * (-q["b_p"] - a_r * s)))
-    return out
-
-
-def _flux_field(grid: TensorGrid, quantities: list[dict]) -> FaceField:
-    return FaceField(grid, tuple(
-        embed_interior_faces(q["J"], grid, axis) for axis, q in enumerate(quantities)
-    ))
+def _face_derivatives(disc: Discretization, q: dict) -> tuple[np.ndarray, np.ndarray]:
+    """(dJ/df_L, dJ/df_R) on the face list, from the terms of :func:`_face_quantities`."""
+    f_l, f_r = q["f_l"], q["f_r"]
+    s = f_l * _bernoulli_prime(-q["a"]) + f_r * _bernoulli_prime(q["a"])
+    a_l = -disc.dD / (2.0 * disc.Dbar * f_l)
+    a_r = -disc.dD / (2.0 * disc.Dbar * f_r)
+    return q["coef"] * (q["b_m"] - a_l * s), q["coef"] * (-q["b_p"] - a_r * s)
 
 
 def assemble_flux(f: ScalarField, params: ParameterSet, t: float) -> FaceField:
     """Exponential-fitted face flux of the density f at time t."""
     if np.any(f.values <= 0.0):
         raise ValueError("assemble_flux requires a strictly positive density")
-    quantities = _face_quantities(params.discretize(f.grid), f.values, t)
-    return _flux_field(f.grid, quantities)
+    disc = params.discretize(f.grid)
+    return disc.face_field(_face_quantities(disc, f.values, t)["J"])
 
 
 # ----------------------------------------------------------------------
@@ -351,7 +335,7 @@ def _newton_solve(
     for it in range(config.newton_max_iters + 1):
         quantities = _face_quantities(disc, f, t_new)
         with np.errstate(over="ignore", invalid="ignore"):
-            residual = f - f_old + dt * face_divergence(_flux_field(grid, quantities))
+            residual = f - f_old + dt * disc.divergence(quantities["J"])
             rnorm = float(np.max(np.abs(residual)))
         if not np.isfinite(rnorm):
             # An overflowing step (dt ~ 1e300) would only feed inf/NaN to the solver.
@@ -364,7 +348,7 @@ def _newton_solve(
                 f"(tolerance {tol_abs:.3e})"
             )
 
-        data = disc.jacobian_values(_face_derivatives(disc, quantities), c)
+        data = disc.jacobian_values(*_face_derivatives(disc, quantities), c)
         # Forcing term: solve only as accurately as the Newton test can see.
         rtol = min(0.1, max(1e-13, 0.01 * tol_abs / rnorm))
         delta = system.solve(data, -residual.ravel(), f.ravel(), rtol).reshape(grid.shape)

@@ -174,6 +174,27 @@ def test_argparse_rejects_bad_choices():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["run", "--n-cells", "abc"], ["run", "--boundary", "diagonal"], ["run", "--no-such-flag"], []],
+    ids=["bad-int", "bad-choice", "unknown-flag", "missing-subcommand"],
+)
+def test_argparse_errors_are_one_stderr_line(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error:")
+
+
+def test_malformed_gaussian_variance_names_the_reference(tmp_path, capsys):
+    code, _, err = run_cli(capsys, ["run", "--ic", "ic:gauss-vabc", "--out", str(tmp_path)])
+    assert code == 2
+    assert err.startswith("error:") and "'ic:gauss-vabc'" in err
+
+
 def test_unwritable_output_directory_exits_1(tmp_path, capsys):
     blocked = tmp_path / "blocked"
     blocked.write_text("a file, not a directory")

@@ -31,6 +31,7 @@ from fpflow import (
     preset_potential_quadratic,
     run,
 )
+from fpflow.grid import adjacent_cell_values, embed_interior_faces, face_divergence
 from fpflow.params import (
     _DIFFUSIONS,
     _MOBILITIES,
@@ -329,15 +330,53 @@ def test_linear_operator_evaluates_static_coefficients_once():
     assert [args[-1] for args in calls["mobility"]] == [0.0, 0.37]
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("n_cells", [2, 3, 5])
+@pytest.mark.parametrize("boundary", [Boundary.PERIODIC, Boundary.NOFLUX])
+def test_face_list_divergence_matches_the_grid_divergence(dim, n_cells, boundary):
+    # A 2-cell periodic axis lists the same cell pair twice.
+    grid = build_grid(dim, n_cells, boundary)
+    disc = build_parameter_set(dim, "D:single", n_cells).discretize(grid)
+    J = np.random.default_rng(n_cells).uniform(-1.0, 1.0, disc.l_idx.shape)
+    div = disc.divergence(J)
+    expected = face_divergence(disc.face_field(J))
+    assert div.shape == grid.shape
+    ulp = np.finfo(float).eps * np.max(np.abs(J)) / grid.h
+    if dim == 1:
+        np.testing.assert_array_equal(div, expected)
+    else:
+        np.testing.assert_allclose(div, expected, rtol=0.0, atol=4 * dim * ulp)
+    assert abs(np.sum(div)) <= 4 * dim * grid.n_total * ulp
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("n_cells", [2, 3, 5])
+@pytest.mark.parametrize("boundary", [Boundary.PERIODIC, Boundary.NOFLUX])
+def test_face_field_lays_out_the_face_list_per_axis(dim, n_cells, boundary):
+    # Right-minus-left differences on the face list land where the per-axis
+    # pairing of adjacent_cell_values puts them.
+    grid = build_grid(dim, n_cells, boundary)
+    disc = build_parameter_set(dim, "D:single", n_cells).discretize(grid)
+    values = np.random.default_rng(n_cells).uniform(size=grid.shape)
+    flat = values.ravel()
+    field = disc.face_field(flat[disc.r_idx] - flat[disc.l_idx])
+    for axis in range(dim):
+        left, right = adjacent_cell_values(values, axis, boundary)
+        np.testing.assert_array_equal(
+            field.components[axis], embed_interior_faces(right - left, grid, axis)
+        )
+
+
 @pytest.mark.parametrize("boundary", [Boundary.PERIODIC, Boundary.NOFLUX])
 def test_discretization_is_memoized_and_read_only(boundary):
     pset = build_parameter_set(2, "D:single", 6)
     disc = pset.discretize(build_grid(2, 6, boundary))
     assert pset.discretize(build_grid(2, 6, boundary)) is disc
-    arrays = [disc.phi, disc.D, disc.pi(0.3), *disc.pibar(0.3)]
-    for name in ("dphi", "dD", "Dbar", "l_idx", "r_idx"):
-        arrays.extend(getattr(disc, name))
-    for arr in arrays:
+    # One flat entry per interior face: 2 axes x 6 lines x 6 or 5 faces.
+    n_faces = 2 * 6 * (6 if boundary is Boundary.PERIODIC else 5)
+    faces = [disc.pibar(0.3), disc.dphi, disc.dD, disc.Dbar, disc.l_idx, disc.r_idx]
+    assert all(arr.shape == (n_faces,) for arr in faces)
+    for arr in [disc.phi, disc.D, disc.pi(0.3), *faces]:
         with pytest.raises(ValueError, match="read-only"):
             arr[...] = 0
     # No reference cycle: the memo goes with its parameter set, at once.

@@ -39,7 +39,7 @@ from fpflow import (
 )
 from fpflow.params import get_mobility
 from fpflow.grid import face_divergence
-from fpflow.solver import _bernoulli, _bernoulli_prime, _face_quantities, _flux_field
+from fpflow.solver import _bernoulli, _bernoulli_prime
 from tests.conftest import all_preset_keys, build_parameter_set, materialize
 
 
@@ -163,6 +163,16 @@ def test_trace_csv_skips_comments_and_checks_header(tmp_path):
         EnergyTrace.from_csv(io.StringIO("time,mass\n0,1\n"))
 
 
+@pytest.mark.parametrize("n_fields", [6, 8])
+def test_trace_csv_rejects_rows_whose_field_count_differs_from_the_header(n_fields):
+    buf = io.StringIO()
+    _toy_trace().to_csv(buf)
+    lines = buf.getvalue().splitlines()
+    lines[2] = ",".join((lines[2].split(",") + ["1.0"])[:n_fields])
+    with pytest.raises(ValueError, match=f"line 3 has {n_fields} fields"):
+        EnergyTrace.from_csv(io.StringIO("\n".join(lines) + "\n"))
+
+
 # ----------------------------------------------------------------------
 # The Bernoulli kernel
 # ----------------------------------------------------------------------
@@ -215,7 +225,7 @@ def test_newton_jacobian_matches_finite_differences(
     t_new, dt = 0.3, 0.1
 
     def residual(f):
-        flux = _flux_field(grid, _face_quantities(disc, f, t_new))
+        flux = assemble_flux(ScalarField(grid, f), pset, t_new)
         return (f - f_old + dt * face_divergence(flux)).ravel()
 
     systems = []
@@ -251,25 +261,21 @@ def test_jacobian_pattern_sums_like_coo_to_csc(dim, n_cells, boundary):
     disc = build_parameter_set(dim, "D:homogeneous", n_cells).discretize(grid)
     rng = np.random.default_rng(n_cells)
     c = 0.37
-    diag = np.arange(grid.n_total)
-    rows, cols, values = [diag], [diag], [np.ones(grid.n_total)]
-    derivatives = []
-    for l_idx, r_idx in zip(disc.l_idx, disc.r_idx):
-        dfl, dfr = rng.uniform(-1.0, 1.0, (2,) + l_idx.shape)
-        derivatives.append((dfl, dfr))
-        jl, jr = c * dfl, c * dfr
-        # The face flux enters cell L's divergence with +, cell R's with -.
-        rows.extend((l_idx, l_idx, r_idx, r_idx))
-        cols.extend((l_idx, r_idx, l_idx, r_idx))
-        values.extend((jl, jr, -jl, -jr))
+    diag, L, R = np.arange(grid.n_total), disc.l_idx, disc.r_idx
+    dfl, dfr = rng.uniform(-1.0, 1.0, (2,) + L.shape)
+    jl, jr = c * dfl, c * dfr
+    # The face flux enters cell L's divergence with +, cell R's with -.
     expected = sp.coo_matrix(
-        (np.concatenate(values), (np.concatenate(rows), np.concatenate(cols))),
+        (
+            np.concatenate((np.ones(grid.n_total), jl, jr, -jl, -jr)),
+            (np.concatenate((diag, L, L, R, R)), np.concatenate((diag, L, R, L, R))),
+        ),
         shape=(grid.n_total,) * 2,
     ).tocsc()
     expected.sort_indices()
     np.testing.assert_array_equal(disc.jac_indptr, expected.indptr)
     np.testing.assert_array_equal(disc.jac_indices, expected.indices)
-    np.testing.assert_array_equal(disc.jacobian_values(derivatives, c), expected.data)
+    np.testing.assert_array_equal(disc.jacobian_values(dfl, dfr, c), expected.data)
 
 
 # ----------------------------------------------------------------------
