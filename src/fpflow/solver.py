@@ -18,6 +18,13 @@ heat limit is the plain two-point gradient.  Finally, sign(J) is opposite
 to the sign of the face difference of D log f + phi, which makes each
 backward-Euler step dissipate the discrete free energy unconditionally.
 
+One expm1 per face gives both Bernoulli values: with t = |a|,
+B(t) = t / expm1(t) is in (0, 1] and B(-t) = B(t) + t adds two
+nonnegative terms (B(a) + a would cancel to 0 for a << 0); the sign of a
+picks which is B(a).  The slopes need no exp: B'(t) = B(t)(1 - B(t) - t)/t
+(a Taylor series below t = 5e-3) and B'(-t) = -1 - B'(t), both <= 0, so
+f_L B'(-a) + f_R B'(a) in dJ/df sums two terms of one sign.
+
 Each implicit step solves R(f) = f - f_old + dt * div J(f, t_new) = 0 by
 a damped Newton iteration with the exact sparse Jacobian.  The iteration
 stops as soon as the max-norm of R is at most the tolerance (newton_tol
@@ -178,7 +185,10 @@ class EnergyTrace:
             row = ln.split(",")
             if len(row) != len(_TRACE_COLUMNS):
                 raise ValueError(f"line {k} has {len(row)} fields, the header {len(_TRACE_COLUMNS)}")
-            rows.append([float(tok) for tok in row])
+            try:
+                rows.append([float(tok) for tok in row])
+            except ValueError as exc:
+                raise ValueError(f"line {k}: {exc}") from None
         cols = list(zip(*rows)) if rows else [[] for _ in _TRACE_COLUMNS]
         return cls(**{name: np.asarray(col) for name, col in zip(_TRACE_COLUMNS, cols)})
 
@@ -195,38 +205,26 @@ def _open_or_borrow(target, mode: str):
 # Exponential-fitted face flux
 # ----------------------------------------------------------------------
 
-def _bernoulli(x: np.ndarray) -> np.ndarray:
-    """B(x) = x / (e^x - 1), continuously extended with B(0) = 1.
-
-    expm1 keeps full relative accuracy down to denormal arguments, and
-    x/inf -> 0 handles the overflow range, so only x == 0 needs a guard.
-    """
+def _bernoulli_pair(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(B(-a), B(a)) from one expm1 of |a|; past |a| ~ 709, B(|a|) = |a| / inf = 0."""
+    t = np.abs(a)
     with np.errstate(over="ignore", invalid="ignore"):
-        out = np.where(x == 0.0, 1.0, x / np.expm1(x))
-    return out
+        b = np.where(t == 0.0, 1.0, t / np.expm1(t))
+    return b + np.maximum(a, 0.0), b + np.maximum(-a, 0.0)
 
 
-def _bernoulli_prime(x: np.ndarray) -> np.ndarray:
-    """dB/dx, stable over the whole double range.
+def _bernoulli_slopes(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(B'(-a), B'(a)) from a and b = B(|a|), the smaller value of :func:`_bernoulli_pair`.
 
-    Near zero the subtractive cancellation is avoided by the Taylor
-    series; for positive arguments the expression is rescaled by e^{-x}
-    so that nothing overflows.
+    1 - B(t) - t ~ -t/2 cancels, so the closed form is off by about eps/t;
+    below t = 5e-3 the Taylor series (off by t^5/5040) takes over.
     """
-    x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    small = np.abs(x) < 1e-4
-    xs = x[small]
-    out[small] = -0.5 + xs / 6.0 - xs**3 / 180.0
-    neg = (~small) & (x < 0.0)
-    xn = x[neg]
-    en = np.expm1(xn)
-    out[neg] = (en - xn * np.exp(xn)) / en**2
-    pos = (~small) & (x > 0.0)
-    xp = x[pos]
-    up = np.exp(-xp)
-    out[pos] = up * (1.0 - up - xp) / (1.0 - up) ** 2
-    return out
+    t = np.abs(a)
+    with np.errstate(invalid="ignore"):
+        d = np.where(t < 5e-3, -0.5 + t / 6.0 - t**3 / 180.0, b * (1.0 - b - t) / t)
+    e = -1.0 - d
+    pos = a >= 0.0
+    return np.where(pos, e, d), np.where(pos, d, e)
 
 
 def _face_quantities(disc: Discretization, f: np.ndarray, t: float) -> dict:
@@ -240,8 +238,7 @@ def _face_quantities(disc: Discretization, f: np.ndarray, t: float) -> dict:
     f_l, f_r = flat[disc.l_idx], flat[disc.r_idx]
     a = -(disc.dphi + 0.5 * (logf[disc.l_idx] + logf[disc.r_idx]) * disc.dD) / disc.Dbar
     coef = disc.Dbar / (disc.pibar(t) * disc.grid.h)
-    b_m = _bernoulli(-a)
-    b_p = _bernoulli(a)
+    b_m, b_p = _bernoulli_pair(a)
     return {
         "J": coef * (b_m * f_l - b_p * f_r),
         "f_l": f_l, "f_r": f_r, "a": a, "coef": coef, "b_m": b_m, "b_p": b_p,
@@ -251,10 +248,11 @@ def _face_quantities(disc: Discretization, f: np.ndarray, t: float) -> dict:
 def _face_derivatives(disc: Discretization, q: dict) -> tuple[np.ndarray, np.ndarray]:
     """(dJ/df_L, dJ/df_R) on the face list, from the terms of :func:`_face_quantities`."""
     f_l, f_r = q["f_l"], q["f_r"]
-    s = f_l * _bernoulli_prime(-q["a"]) + f_r * _bernoulli_prime(q["a"])
-    a_l = -disc.dD / (2.0 * disc.Dbar * f_l)
-    a_r = -disc.dD / (2.0 * disc.Dbar * f_r)
-    return q["coef"] * (q["b_m"] - a_l * s), q["coef"] * (-q["b_p"] - a_r * s)
+    d_m, d_p = _bernoulli_slopes(q["a"], np.minimum(q["b_m"], q["b_p"]))
+    s = f_l * d_m + f_r * d_p  # two terms <= 0: nothing cancels
+    # da/df_L = -dD / (2 Dbar f_L) and likewise for R, so -(da/df_L) s = g / f_L.
+    g = disc.dD * s / (2.0 * disc.Dbar)
+    return q["coef"] * (q["b_m"] + g / f_l), q["coef"] * (g / f_r - q["b_p"])
 
 
 def assemble_flux(f: ScalarField, params: ParameterSet, t: float) -> FaceField:

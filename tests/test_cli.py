@@ -489,8 +489,8 @@ def test_verify_catches_a_broken_flux_kernel(capsys, monkeypatch):
     # conserving, but the equilibrium is no longer stationary.  The
     # battery must notice and exit nonzero.
     monkeypatch.setattr(
-        "fpflow.solver._bernoulli",
-        lambda x: np.ones_like(np.asarray(x, dtype=float)),
+        "fpflow.solver._bernoulli_pair",
+        lambda a: (np.ones_like(a), np.ones_like(a)),
     )
     code, out, _ = run_cli(capsys, ["verify", "fast"])
     assert code == 1
@@ -515,8 +515,8 @@ def test_verify_leaves_no_shared_runs_behind(capsys, monkeypatch):
     # Reference runs made under a broken kernel must not reach checks
     # called after verify returns.
     monkeypatch.setattr(
-        "fpflow.solver._bernoulli",
-        lambda x: np.ones_like(np.asarray(x, dtype=float)),
+        "fpflow.solver._bernoulli_pair",
+        lambda a: (np.ones_like(a), np.ones_like(a)),
     )
     code, _, _ = run_cli(capsys, ["verify", "fast"])
     assert code == 1

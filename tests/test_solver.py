@@ -39,7 +39,7 @@ from fpflow import (
 )
 from fpflow.params import get_mobility
 from fpflow.grid import face_divergence
-from fpflow.solver import _bernoulli, _bernoulli_prime
+from fpflow.solver import _bernoulli_pair, _bernoulli_slopes
 from tests.conftest import all_preset_keys, build_parameter_set, materialize
 
 
@@ -163,13 +163,17 @@ def test_trace_csv_skips_comments_and_checks_header(tmp_path):
         EnergyTrace.from_csv(io.StringIO("time,mass\n0,1\n"))
 
 
-@pytest.mark.parametrize("n_fields", [6, 8])
-def test_trace_csv_rejects_rows_whose_field_count_differs_from_the_header(n_fields):
+@pytest.mark.parametrize("row, problem", [
+    ("1,1,2,3,4,5", " has 6 fields"),
+    ("1,1,2,3,4,5,6,7", " has 8 fields"),
+    ("1,1,2,3,4,x,6", ": could not convert string to float: 'x'"),
+], ids=["6", "8", "non-numeric"])
+def test_trace_csv_names_the_line_of_a_malformed_row(row, problem):
     buf = io.StringIO()
     _toy_trace().to_csv(buf)
     lines = buf.getvalue().splitlines()
-    lines[2] = ",".join((lines[2].split(",") + ["1.0"])[:n_fields])
-    with pytest.raises(ValueError, match=f"line 3 has {n_fields} fields"):
+    lines[2] = row
+    with pytest.raises(ValueError, match=f"line 3{problem}"):
         EnergyTrace.from_csv(io.StringIO("\n".join(lines) + "\n"))
 
 
@@ -178,18 +182,26 @@ def test_trace_csv_rejects_rows_whose_field_count_differs_from_the_header(n_fiel
 # ----------------------------------------------------------------------
 
 
+def bernoulli(x):
+    return _bernoulli_pair(x)[1]
+
+
+def bernoulli_prime(x):
+    return _bernoulli_slopes(x, np.minimum(*_bernoulli_pair(x)))[1]
+
+
 def test_bernoulli_basic_values():
-    assert _bernoulli(np.array([0.0]))[0] == 1.0
+    assert bernoulli(np.array([0.0]))[0] == 1.0
     x = np.array([-700.0, -50.0, -2.0, -1e-8, 1e-8, 2.0, 50.0, 700.0])
-    b = _bernoulli(x)
+    b = bernoulli(x)
     assert np.all(b > 0.0)
     assert np.all(np.isfinite(b))
     # B(-x) - B(x) = x exactly characterizes the kernel.
-    np.testing.assert_allclose(_bernoulli(-x) - b, x, rtol=1e-13, atol=1e-13)
+    np.testing.assert_allclose(bernoulli(-x) - b, x, rtol=1e-13, atol=1e-13)
 
 
 def test_bernoulli_extreme_arguments_do_not_overflow():
-    b = _bernoulli(np.array([1e4, -1e4]))
+    b = bernoulli(np.array([1e4, -1e4]))
     assert b[0] == 0.0  # x / e^x underflows to zero
     assert b[1] == pytest.approx(1e4)
 
@@ -197,15 +209,23 @@ def test_bernoulli_extreme_arguments_do_not_overflow():
 def test_bernoulli_prime_matches_finite_differences():
     xs = np.array([-30.0, -5.0, -1.0, -1e-3, 0.0, 1e-3, 1.0, 5.0, 30.0])
     h = 1e-6
-    fd = (_bernoulli(xs + h) - _bernoulli(xs - h)) / (2 * h)
-    np.testing.assert_allclose(_bernoulli_prime(xs), fd, rtol=1e-6, atol=1e-9)
-    assert _bernoulli_prime(np.array([0.0]))[0] == pytest.approx(-0.5)
+    fd = (bernoulli(xs + h) - bernoulli(xs - h)) / (2 * h)
+    np.testing.assert_allclose(bernoulli_prime(xs), fd, rtol=1e-6, atol=1e-9)
+    assert bernoulli_prime(np.array([0.0]))[0] == pytest.approx(-0.5)
 
 
 def test_bernoulli_prime_extreme_arguments():
-    d = _bernoulli_prime(np.array([800.0, -800.0]))
+    d = bernoulli_prime(np.array([800.0, -800.0]))
     assert d[0] == pytest.approx(0.0, abs=1e-300)
     assert d[1] == pytest.approx(-1.0, rel=1e-12)
+
+
+def test_bernoulli_prime_matches_its_series_where_the_closed_form_cancels():
+    # B'(x) = B(x)(1 - B(x) - x)/x loses digits as x -> 0; the series must
+    # take over early enough that no digit loss shows above 1e-12.
+    x = np.concatenate([np.geomspace(1e-4, 1e-2, 2001), -np.geomspace(1e-4, 1e-2, 2001)])
+    series = -0.5 + x / 6 - x**3 / 180 + x**5 / 5040 - x**7 / 151200
+    np.testing.assert_allclose(bernoulli_prime(x), series, rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("dim, n_cells", [(1, 16), (2, 8), (3, 10)])
