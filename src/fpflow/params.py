@@ -177,7 +177,15 @@ class Discretization:
         # (L, L), (L, R), (R, L), (R, R) of every face.
         rows = np.concatenate((cells, L, L, R, R))
         cols = np.concatenate((cells, L, R, L, R))
-        keys, slot = np.unique(cols * n + rows, return_inverse=True)
+        # One stable sort gives what np.unique(..., return_inverse=True)
+        # gives, without that call's set-up transient in peak memory.
+        keys = cols * n + rows
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        first = np.r_[True, keys[1:] != keys[:-1]]
+        slot = np.empty_like(order)
+        slot[order] = np.cumsum(first) - 1
+        keys = keys[first]
         self.jac_indptr = _read_only(np.searchsorted(keys, np.arange(n + 1) * n))
         self.jac_indices = _read_only(keys % n)
         self._jac_slot = _read_only(slot)

@@ -29,14 +29,43 @@ Each implicit step solves R(f) = f - f_old + dt * div J(f, t_new) = 0 by
 a damped Newton iteration with the exact sparse Jacobian.  The iteration
 stops as soon as the max-norm of R is at most the tolerance (newton_tol
 times the larger of 1 and max |f_old|) or, for tolerances below what
-double precision can reach, at most 64 ulps of that scale.
+double precision can reach, at most 64 ulps of that scale.  The rounding
+of R also grows with its face terms coef * B(-a) f_L and coef * B(a) f_R:
+once the residual stops halving, the iteration also stops within 64 ulps
+of the largest sum of them over a cell's faces times dt / h.
 
 The Newton system J delta = -R is solved by sparse LU (SuperLU) in 1D and
-2D, and by BiCGSTAB with a Jacobi (diagonal) preconditioner in 3D.  The
-LU factors of the seven-point 3D Jacobian fill in heavily (9.6 million
-L+U nonzeros for 20^3 periodic cells) and the factorization took over 90%
-of a 3D run; in 1D and 2D the direct solve measured faster.  Three
-details make the Krylov update as good as the direct one:
+2D, and by preconditioned BiCGSTAB in 3D.  The LU factors of the
+seven-point 3D Jacobian fill in heavily (9.6 million L+U nonzeros for
+20^3 periodic cells) and the factorization took over 90% of a 3D run; in
+1D and 2D the direct solve measured faster.  The preconditioner inverts
+a constant-coefficient model of the matrix, I + s K, with K the graph
+Laplacian of the face list, by fast diagonalization (Lynch, Rice &
+Thomas, Numer. Math. 6, 1964; as a preconditioner for nonseparable
+problems, Concus & Golub, SIAM J. Numer. Anal. 10, 1973): K is a
+Kronecker sum of one axis's Laplacian T = Q diag(lam) Q^T, so (I + sK)^-1
+applies Q^T along each axis, divides by 1 + s (lam_i + lam_j + lam_k) and
+applies Q back.  The Krylov iteration count then grows slowly with the
+grid where Jacobi's grows like n.  Each piece has a reason:
+
+- Q is computed once per run or step.  The model's scale s, set once per
+  matrix A with diagonal d, is (sum d - N) / (2 * faces), the mean
+  off-diagonal magnitude, because every column of A sums to one.  It is
+  clamped at 0: damped iterates next to empty cells can make diagonals
+  negative.
+- I + sK keeps the constant vector; A does not wherever the drift has a
+  divergence.  The constant mode therefore gets N / sum d, the mean
+  Jacobi factor, in place of 1.  With 1, a step of dt = 1e300 takes
+  thousands of iterations.
+- M^-1 r is a Jacobi sweep z = r / d, the correction z += w F(r - A z)
+  with w = min(1, f / mean f), and another Jacobi sweep.  Near-empty
+  cells, where the drift the model leaves out dominates, are left to the
+  diagonal: without w the tails of a steep well come out with errors far
+  above their size, and without the sweeps BiCGSTAB breaks down on the
+  damped iterates of coarse runs.  With both, a steep-well step agrees
+  with the direct solve to 1e-10 relative in every cell.
+
+Three details make the Krylov update as good as the direct one:
 
 - The right-hand side is divided by its max-norm before the call and the
   solution multiplied back after it.  BiCGSTAB's breakdown thresholds are
@@ -87,11 +116,11 @@ from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import bicgstab, splu
+from scipy.sparse.linalg import LinearOperator, bicgstab, splu
 
 from .diagnostics import dissipation, free_energy
 from .equilibrium import equilibrium_state
-from .grid import FaceField, ScalarField, integrate
+from .grid import FaceField, ScalarField, adjacent_cell_values, integrate
 from .params import Discretization, ParameterSet
 
 
@@ -281,6 +310,50 @@ class _NewtonSystem:
         self._disc = disc
         self._matrix: Optional[sp.csc_matrix] = None
         self._lu = None
+        if disc.grid.dim == 3:
+            # T = Q diag(lam) Q^T, the graph Laplacian of one axis's faces.
+            n = disc.grid.n_cells
+            left, right = adjacent_cell_values(np.arange(n), 0, disc.grid.boundary)
+            eye = np.eye(n)
+            grad = eye[left] - eye[right]
+            lam, self._q = np.linalg.eigh(grad.T @ grad)
+            self._lam = lam[:, None, None] + lam[:, None] + lam
+
+    def _separable_inverse(self, s: float, c0: float) -> Callable[[np.ndarray], np.ndarray]:
+        """x -> (I + s K)^-1 x, with c0 in place of 1 on the constant mode.
+
+        K = T(x)I(x)I + I(x)T(x)I + I(x)I(x)T is the graph Laplacian of the
+        3D face list; it is diagonal in the basis Q(x)Q(x)Q.
+        """
+        q, n = self._q, self._disc.grid.n_cells
+        scale = 1.0 / (1.0 + s * self._lam)
+        scale[0, 0, 0] = c0  # eigh sorts lam ascending: entry 0 is the constant mode
+
+        def apply(x: np.ndarray) -> np.ndarray:
+            y = (q.T @ x.reshape(n, n * n)).reshape(n, n, n)
+            y = (q.T @ y) @ q * scale
+            y = (q @ y) @ q.T
+            return (q @ y.reshape(n, n * n)).ravel()
+
+        return apply
+
+    def _preconditioner(self, jac: sp.csc_matrix, f: np.ndarray) -> LinearOperator:
+        """M^-1 r: a Jacobi sweep, a density-weighted separable correction, a Jacobi sweep."""
+        n_total, n_faces = self._disc.grid.n_total, len(self._disc.l_idx)
+        d = jac.diagonal()
+        total = float(d.sum())
+        # Every column of A sums to 1, so (sum d - N) / (2 faces) is the mean
+        # off-diagonal magnitude; damped iterates can make it negative.
+        fd = self._separable_inverse(max(0.0, (total - n_total) / (2 * n_faces)), n_total / total)
+        w = np.minimum(1.0, f / f.mean())
+
+        def apply(r: np.ndarray) -> np.ndarray:
+            z = r / d
+            z += w * fd(r - jac @ z)
+            z += (r - jac @ z) / d
+            return z
+
+        return LinearOperator(jac.shape, matvec=apply, dtype=float)
 
     def solve(self, data: np.ndarray, rhs: np.ndarray, f: np.ndarray, rtol: float) -> np.ndarray:
         """Solve A x = rhs for the CSC values ``data`` of A on the Jacobian pattern.
@@ -300,7 +373,7 @@ class _NewtonSystem:
         if disc.grid.dim == 3:
             norm = float(np.max(np.abs(rhs)))
             x, info = bicgstab(
-                jac, rhs / norm, rtol=rtol, atol=0.0, M=sp.diags(1.0 / jac.diagonal())
+                jac, rhs / norm, rtol=rtol, atol=0.0, M=self._preconditioner(jac, f)
             )
             x *= norm
         if info != 0:
@@ -312,6 +385,19 @@ class _NewtonSystem:
             x = self._lu.solve(rhs)
         x += f * ((rhs.sum() - x.sum()) / f.sum())
         return x
+
+
+def _residual_rounding(disc: Discretization, q: dict, c: float, roundoff: float) -> float:
+    """Bound on the rounding of the residual: 64 ulps of its largest gross term.
+
+    The divergence is a difference of face terms coef * B(-a) f_L and
+    coef * B(a) f_R; their sum over a cell's faces, times c = dt / h, is the
+    size the rounding scales with when it exceeds |f_old|.
+    """
+    n = disc.grid.n_total
+    gross = q["coef"] * (q["b_m"] * q["f_l"] + q["b_p"] * q["f_r"])
+    cells = np.bincount(disc.l_idx, gross, n) + np.bincount(disc.r_idx, gross, n)
+    return roundoff + 64.0 * np.finfo(float).eps * c * float(np.max(cells))
 
 
 def _newton_solve(
@@ -332,6 +418,7 @@ def _newton_solve(
     rnorm = np.inf
     for it in range(config.newton_max_iters + 1):
         quantities = _face_quantities(disc, f, t_new)
+        prev = rnorm
         with np.errstate(over="ignore", invalid="ignore"):
             residual = f - f_old + dt * disc.divergence(quantities["J"])
             rnorm = float(np.max(np.abs(residual)))
@@ -339,6 +426,9 @@ def _newton_solve(
             # An overflowing step (dt ~ 1e300) would only feed inf/NaN to the solver.
             raise NonConvergence(f"non-finite Newton residual ({rnorm}) at iteration {it}")
         if rnorm <= max(tol_abs, roundoff):
+            return f
+        # Stalled: is what is left the residual's own rounding?
+        if rnorm > 0.5 * prev and rnorm <= _residual_rounding(disc, quantities, c, roundoff):
             return f
         if it == config.newton_max_iters:
             raise NonConvergence(

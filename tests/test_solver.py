@@ -517,12 +517,16 @@ def test_run_trace_satisfies_core_invariants():
     assert np.all(trace.F_rel >= -1e-12)
 
 
+@pytest.mark.parametrize("n_cells", [40, 100, 200])
 @pytest.mark.parametrize("boundary", [Boundary.PERIODIC, Boundary.NOFLUX])
-def test_run_converges_with_a_tolerance_below_roundoff(boundary):
+@pytest.mark.parametrize("diffusion_ref", ["D:homogeneous", "D:single", "D:multi"])
+def test_run_converges_with_a_tolerance_below_roundoff(n_cells, boundary, diffusion_ref):
     # newton_tol = 1e-16 asks for less than double precision can resolve;
-    # Newton must stop at round-off instead of iterating to the cap.
-    grid = build_grid(1, 40, boundary)
-    pset = build_parameter_set(1, "D:single", grid.n_cells)
+    # Newton must stop at round-off instead of iterating to the cap.  On
+    # finer grids the residual's rounding grows with the face terms times
+    # dt / h, past 64 ulps of max |f_old|.
+    grid = build_grid(1, n_cells, boundary)
+    pset = build_parameter_set(1, diffusion_ref, grid.n_cells)
     config = SolverConfig(t_final=0.5, n_steps=5, newton_tol=1e-16)
     _, trace = run(gaussian_start(grid), pset, config)
     trace.validate()
@@ -605,13 +609,22 @@ def _coarse_3d_run():
     return run(f0, pset, config)
 
 
-def test_3d_newton_systems_are_solved_by_bicgstab(monkeypatch):
+def _coarse_3d_single_run():
+    # The mass-conservation-3d check's run: its damped iterates make
+    # diagonals of the Newton matrix negative.
+    grid = build_grid(3, 8, Boundary.PERIODIC)
+    f0 = preset_gaussian_ic(3, variance=0.04).build(grid)
+    return run(f0, build_parameter_set(3, "D:single", 8), SolverConfig(t_final=0.2, n_steps=4))
+
+
+@pytest.mark.parametrize("coarse_run", [_coarse_3d_run, _coarse_3d_single_run])
+def test_3d_newton_systems_are_solved_by_bicgstab(monkeypatch, coarse_run):
     counts = {}
     _count_calls(monkeypatch, "splu", counts)
     _count_calls(monkeypatch, "bicgstab", counts)
     _count_calls(monkeypatch, "_face_derivatives", counts)
     _count_calls(monkeypatch, "solve", counts, owner=solver_mod._NewtonSystem)
-    _final, trace = _coarse_3d_run()
+    _final, trace = coarse_run()
     trace.validate()
     updates = counts["solve"]
     assert updates == counts["_face_derivatives"]
@@ -648,6 +661,88 @@ def test_flux_derivatives_are_formed_once_per_newton_update(
     config = SolverConfig(t_final=0.3, n_steps=3)
     run(gaussian_start(grid), pset, config)
     assert re.fullmatch(r"((FDS)+F){%d}" % config.n_steps, "".join(events))
+
+
+@pytest.mark.parametrize("boundary", [Boundary.PERIODIC, Boundary.NOFLUX])
+def test_3d_krylov_iterations_grow_slowly_with_the_grid(monkeypatch, boundary):
+    # Jacobi-preconditioned BiCGSTAB needs about 20 iterations per solve at
+    # n = 8 and 57 at n = 16; the separable preconditioner keeps the count
+    # nearly flat.
+    iterations = []
+
+    def counted(jac, rhs, _inner=solver_mod.bicgstab, **kwargs):
+        count = [0]
+        x, info = _inner(
+            jac, rhs, callback=lambda _x: count.__setitem__(0, count[0] + 1), **kwargs
+        )
+        iterations.append(count[0])
+        return x, info
+
+    monkeypatch.setattr(solver_mod, "bicgstab", counted)
+    medians = {}
+    for n_cells in (8, 16):
+        iterations.clear()
+        _grid, pset, f0, config = materialize(
+            "fig-fe-3d-DM", boundary, n_cells=n_cells, n_steps=2, t_final=0.04
+        )
+        run(f0, pset, config)[1].validate()
+        medians[n_cells] = np.median(iterations)
+    assert medians[16] <= 2 * medians[8], medians
+
+
+@pytest.mark.parametrize("n_cells", [2, 3, 5])
+@pytest.mark.parametrize("boundary", [Boundary.PERIODIC, Boundary.NOFLUX])
+def test_separable_inverse_matches_a_dense_solve(n_cells, boundary):
+    # K is built here from the Discretization's face list, each face adding
+    # (e_L - e_R)(e_L - e_R)^T; a 2-cell periodic axis lists its face twice.
+    grid = build_grid(3, n_cells, boundary)
+    disc = build_parameter_set(3, "D:homogeneous", n_cells).discretize(grid)
+    n = grid.n_total
+    faces = np.arange(len(disc.l_idx))
+    grad = np.zeros((len(faces), n))
+    grad[faces, disc.l_idx] = 1.0
+    grad[faces, disc.r_idx] = -1.0
+    laplacian = grad.T @ grad
+    x = np.random.default_rng(n_cells).standard_normal((3, n))
+    system = solver_mod._NewtonSystem(disc)
+    for s, c0 in [(0.0, 1.0), (0.0, 0.25), (0.37, 1.0), (0.37, 0.03), (40.0, 2.5)]:
+        apply = system._separable_inverse(s, c0)
+        for v in x:
+            # The constant vector is an eigenvector of I + sK with eigenvalue
+            # 1; its component is scaled by c0 instead.
+            expected = np.linalg.solve(np.eye(n) + s * laplacian, v) + (c0 - 1.0) * v.mean()
+            np.testing.assert_allclose(apply(v), expected, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("boundary", [Boundary.PERIODIC, Boundary.NOFLUX])
+def test_3d_krylov_step_matches_the_direct_solve_in_every_cell(monkeypatch, boundary):
+    # A steep well drains the Gaussian's corners to ~1e-24.  The Krylov
+    # step must resolve them as well as SuperLU does, relative to each
+    # cell, not only relative to the peak (Jacobi: 1.1e-5).
+    n_cells, dt = 20, 0.01
+    grid = build_grid(3, n_cells, boundary)
+    well = PotentialField(
+        evaluate=lambda x, y, z: (x**2 + y**2 + z**2) / 0.03,
+        gradient=tuple((lambda *c, i=i: c[i] / 0.015) for i in range(3)),
+        name="phi:well",
+    )
+    pset = ParameterSet(
+        potential=well,
+        diffusion=build_parameter_set(3, "D:homogeneous", n_cells).diffusion,
+        mobility=get_mobility("pi:unit", 3),
+    )
+    f0 = gaussian_start(grid, variance=0.025, floor_rel=0.0)
+    config = SolverConfig(t_final=dt, n_steps=1)
+    krylov = backward_euler_step(f0, pset, dt, dt, config).values
+    counts = {}
+    _count_calls(
+        monkeypatch, "bicgstab", counts,
+        replacement=lambda jac, b, **_kw: (np.zeros_like(b), -10),
+    )
+    direct = backward_euler_step(f0, pset, dt, dt, config).values
+    assert counts["bicgstab"] > 0
+    assert direct.min() < 1e-23
+    np.testing.assert_allclose(krylov, direct, rtol=1e-8, atol=0.0)
 
 
 def test_failed_bicgstab_falls_back_to_splu(monkeypatch):
