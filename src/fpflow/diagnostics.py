@@ -15,6 +15,11 @@ with the arithmetic face mean of the cell mobilities, as the solver
 reads them from :class:`~fpflow.params.Discretization`.  Because mu is
 constant at equilibrium cell-by-cell, the discrete velocity (and hence
 the dissipation) vanishes there to round-off, not merely to O(h^2).
+
+The dissipation and the d^2F/dt^2 identity evaluate the mobility once,
+form u on the Discretization's face list, and bring it to the cells
+through :meth:`~fpflow.params.Discretization.cell_faces`, each cell's
+lower and upper face value per axis.
 """
 
 from __future__ import annotations
@@ -25,15 +30,8 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .grid import (
-    Boundary,
-    FaceField,
-    ScalarField,
-    cell_average_of_faces,
-    cell_mean_square_of_faces,
-    face_difference_at_cells,
-)
-from .params import ParameterSet
+from .grid import Boundary, FaceField, ScalarField
+from .params import Discretization, ParameterSet
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from .equilibrium import EquilibriumState
@@ -100,13 +98,22 @@ def free_energy(f: ScalarField, params: ParameterSet) -> float:
     return f.grid.cell_volume * float(np.sum(density))
 
 
+def _face_velocity(disc: Discretization, fv: np.ndarray, pi: np.ndarray) -> np.ndarray:
+    """The velocity on the face list, from the density's and the mobility's cell values."""
+    mu = (disc.D * np.log(fv) + disc.phi).ravel()
+    return -(mu[disc.r_idx] - mu[disc.l_idx]) / (disc.face_mean(pi) * disc.grid.h)
+
+
+def _mean_square(cell_faces: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """|u|^2 at each cell: per axis, the mean of its two faces' squares."""
+    return sum(0.5 * (lo**2 + hi**2) for lo, hi in cell_faces)
+
+
 def velocity(f: ScalarField, params: ParameterSet, t: float) -> FaceField:
     """Face-centered transport velocity -grad(D log f + phi) / pi."""
     _require_positive(f.values, "velocity")
     disc = params.discretize(f.grid)
-    mu = (disc.D * np.log(f.values) + disc.phi).ravel()
-    u = -(mu[disc.r_idx] - mu[disc.l_idx]) / (disc.pibar(t) * f.grid.h)
-    return disc.face_field(u)
+    return disc.face_field(_face_velocity(disc, f.values, disc.pi(t)))
 
 
 def dissipation(f: ScalarField, params: ParameterSet, t: float) -> float:
@@ -116,12 +123,12 @@ def dissipation(f: ScalarField, params: ParameterSet, t: float) -> float:
     per direction, so a single nonzero face contributes to both of its
     cells with weight one half.
     """
+    _require_positive(f.values, "dissipation")
     grid = f.grid
-    u = velocity(f, params, t)
-    pi = params.discretize(grid).pi(t)
-    usq = np.zeros(grid.shape)
-    for axis in range(grid.dim):
-        usq += cell_mean_square_of_faces(u, axis)
+    disc = params.discretize(grid)
+    pi = disc.pi(t)
+    u = _face_velocity(disc, f.values, pi)
+    usq = _mean_square([disc.cell_faces(u, axis) for axis in range(grid.dim)])
     return grid.cell_volume * float(np.sum(pi * f.values * usq))
 
 
@@ -257,38 +264,28 @@ def second_derivative_identity(
     phi_hess = params.potential.hessian_on_grid(grid)
     D_grad = params.diffusion.gradient_on_grid(grid)
 
-    u = velocity(f, params, t)
     dim = grid.dim
-    ubar = [cell_average_of_faces(u, d) for d in range(dim)]
-    usq = np.zeros(grid.shape)
-    for d in range(dim):
-        usq += cell_mean_square_of_faces(u, d)
+    u = _face_velocity(disc, fv, pi)
+    cell_faces = [disc.cell_faces(u, d) for d in range(dim)]
+    ubar = [0.5 * (lo + hi) for lo, hi in cell_faces]
+    usq = _mean_square(cell_faces)
     # du[d][e] = d(u_d)/d(x_e): exact face difference on the diagonal,
     # centered differences of the cell-averaged component otherwise.
-    du = [[None] * dim for _ in range(dim)]
-    for d in range(dim):
-        for e in range(dim):
-            if d == e:
-                du[d][e] = face_difference_at_cells(u, d)
-            else:
-                du[d][e] = _cell_gradient(ubar[d], grid, e)
-    div_u = np.zeros(grid.shape)
-    for d in range(dim):
-        div_u += du[d][d]
+    du = [
+        [(hi - lo) / grid.h if d == e else _cell_gradient(ubar[d], grid, e) for e in range(dim)]
+        for d, (lo, hi) in enumerate(cell_faces)
+    ]
+
+    def dot(a, b) -> np.ndarray:
+        """sum_d a[d] * b[d], cell by cell."""
+        return sum(a[d] * b[d] for d in range(dim))
+
+    div_u = sum(du[d][d] for d in range(dim))
     grad_usq = [_cell_gradient(usq, grid, d) for d in range(dim)]
-
-    u_dot_gradD = np.zeros(grid.shape)
-    u_dot_gradphi = np.zeros(grid.shape)
-    for d in range(dim):
-        u_dot_gradD += ubar[d] * D_grad[d]
-        u_dot_gradphi += ubar[d] * phi_grad[d]
-
-    hess_quad = np.zeros(grid.shape)
-    grad_u_sq = np.zeros(grid.shape)
-    for d in range(dim):
-        for e in range(dim):
-            hess_quad += phi_hess[d][e] * ubar[d] * ubar[e]
-            grad_u_sq += du[d][e] ** 2
+    u_dot_gradD = dot(ubar, D_grad)
+    u_dot_gradphi = dot(ubar, phi_grad)
+    hess_quad = sum(phi_hess[d][e] * ubar[d] * ubar[e] for d in range(dim) for e in range(dim))
+    grad_u_sq = sum(du[d][e] ** 2 for d in range(dim) for e in range(dim))
 
     vol = grid.cell_volume
 
@@ -298,10 +295,7 @@ def second_derivative_identity(
     rhs = 2.0 * qsum(hess_quad * fv) + 2.0 * qsum(D * grad_u_sq * fv)
 
     if regime is not Regime.HOMOGENEOUS:
-        gradusq_dot_gradD = np.zeros(grid.shape)
-        for d in range(dim):
-            gradusq_dot_gradD += grad_usq[d] * D_grad[d]
-        rhs -= qsum((logf - 1.0) * gradusq_dot_gradD * fv)
+        rhs -= qsum((logf - 1.0) * dot(grad_usq, D_grad) * fv)
         rhs -= 2.0 * qsum((1.0 + logf) * u_dot_gradD * div_u * fv)
         pi_weight = pi if regime is Regime.VARIABLE_MOBILITY else 1.0
         rhs += 2.0 * qsum(pi_weight / D * usq * logf * u_dot_gradD * fv)
@@ -311,26 +305,15 @@ def second_derivative_identity(
     if regime is Regime.VARIABLE_MOBILITY:
         pi_t = params.mobility.time_derivative_on_grid(grid, t)
         pi_grad = params.mobility.gradient_on_grid(grid, t)
-        u_dot_gradpi = np.zeros(grid.shape)
-        gradpi_dot_gradD = np.zeros(grid.shape)
-        gradusq_dot_gradpi = np.zeros(grid.shape)
-        for d in range(dim):
-            u_dot_gradpi += ubar[d] * pi_grad[d]
-            gradpi_dot_gradD += pi_grad[d] * D_grad[d]
-            gradusq_dot_gradpi += grad_usq[d] * pi_grad[d]
+        u_dot_gradpi = dot(ubar, pi_grad)
         # ((grad u) u)_d = sum_e u_e d(u_d)/d(x_e)
-        conv_dot_gradpi = np.zeros(grid.shape)
-        for d in range(dim):
-            conv_d = np.zeros(grid.shape)
-            for e in range(dim):
-                conv_d += ubar[e] * du[d][e]
-            conv_dot_gradpi += conv_d * pi_grad[d]
+        conv = [dot(ubar, du[d]) for d in range(dim)]
         rhs += qsum(pi_t * usq * fv)
         rhs += qsum(usq * u_dot_gradpi * fv)
-        rhs -= 2.0 * qsum((logf - 1.0) / pi * usq * gradpi_dot_gradD * fv)
+        rhs -= 2.0 * qsum((logf - 1.0) / pi * usq * dot(pi_grad, D_grad) * fv)
         rhs += 2.0 * qsum((logf - 1.0) / pi * u_dot_gradpi * u_dot_gradD * fv)
-        rhs += qsum(D / pi * gradusq_dot_gradpi * fv)
-        rhs -= 2.0 * qsum(D / pi * conv_dot_gradpi * fv)
+        rhs += qsum(D / pi * dot(grad_usq, pi_grad) * fv)
+        rhs -= 2.0 * qsum(D / pi * dot(conv, pi_grad) * fv)
 
     return IdentityReport(lhs=lhs, rhs=rhs, residual=abs(lhs - rhs), regime=regime)
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from numbers import Integral
 
 import numpy as np
 
@@ -47,10 +48,10 @@ class TensorGrid:
     boundary: Boundary
 
     def __post_init__(self) -> None:
-        if self.dim not in (1, 2, 3):
-            raise ValueError(f"dim must be 1, 2 or 3, got {self.dim}")
-        if self.n_cells < 2:
-            raise ValueError(f"n_cells must be >= 2, got {self.n_cells}")
+        if not isinstance(self.dim, Integral) or self.dim not in (1, 2, 3):
+            raise ValueError(f"dim must be 1, 2 or 3, got {self.dim!r}")
+        if not isinstance(self.n_cells, Integral) or self.n_cells < 2:
+            raise ValueError(f"n_cells must be an integer >= 2, got {self.n_cells!r}")
         if not isinstance(self.boundary, Boundary):
             raise TypeError("boundary must be a Boundary enum member")
 
@@ -212,34 +213,18 @@ def face_gradient(field: ScalarField) -> FaceField:
 
 
 def face_divergence(flux: FaceField) -> np.ndarray:
-    """Cell-wise divergence of a face field: sum_d (J_upper - J_lower)/h."""
-    out = np.zeros(flux.grid.shape)
-    for axis in range(flux.grid.dim):
-        out += face_difference_at_cells(flux, axis)
+    """Cell-wise divergence of a face field: sum_d (J_upper - J_lower)/h.
+
+    It differences each axis's face array on its own, apart from the
+    :class:`~fpflow.params.Discretization`'s face list, and so serves as
+    the reference that list's divergence is tested against.
+    """
+    grid = flux.grid
+    out = np.zeros(grid.shape)
+    for axis, comp in enumerate(flux.components):
+        if grid.boundary is Boundary.PERIODIC:
+            lo, hi = comp, np.roll(comp, -1, axis=axis)
+        else:
+            lo, hi = adjacent_cell_values(comp, axis, Boundary.NOFLUX)
+        out += (hi - lo) / grid.h
     return out
-
-
-def _cell_faces(flux: FaceField, axis: int) -> tuple[np.ndarray, np.ndarray]:
-    """(lower, upper) face values of ``axis`` at each cell."""
-    comp = flux.components[axis]
-    if flux.grid.boundary is Boundary.PERIODIC:
-        return comp, np.roll(comp, -1, axis=axis)
-    return adjacent_cell_values(comp, axis, Boundary.NOFLUX)
-
-
-def cell_average_of_faces(flux: FaceField, axis: int) -> np.ndarray:
-    """Average of the two adjacent face values of ``axis`` at each cell."""
-    lo, hi = _cell_faces(flux, axis)
-    return 0.5 * (lo + hi)
-
-
-def cell_mean_square_of_faces(flux: FaceField, axis: int) -> np.ndarray:
-    """Average of the squares of the two adjacent face values at each cell."""
-    lo, hi = _cell_faces(flux, axis)
-    return 0.5 * (lo**2 + hi**2)
-
-
-def face_difference_at_cells(flux: FaceField, axis: int) -> np.ndarray:
-    """(upper face - lower face)/h at each cell: the derivative d(u_axis)/d(x_axis)."""
-    lo, hi = _cell_faces(flux, axis)
-    return (hi - lo) / flux.grid.h

@@ -8,7 +8,10 @@ mobility additionally takes the time ``t`` as its last argument.
 
 All grid discretizations are midpoint rules: a cell carries the value of
 the analytic function at its center; :class:`Discretization` keeps them
-with the grid's one list of interior faces.
+with the grid's one list of interior faces.  It checks every value it
+takes (phi finite, D and pi positive and finite) and keeps no
+time-dependent state: the mobility is evaluated, and checked, at each
+request.
 """
 
 from __future__ import annotations
@@ -30,6 +33,16 @@ def _full(grid: TensorGrid, arr) -> np.ndarray:
 def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
+
+
+def _checked(values: np.ndarray, what: str, positive: bool = True) -> np.ndarray:
+    """Grid values made read-only once they are finite (and positive, if required)."""
+    ok = np.isfinite(values)
+    if positive:
+        ok &= values > 0.0
+    if not np.all(ok):
+        raise ValueError(f"{what} must be {'positive and ' if positive else ''}finite on the grid")
+    return _read_only(values)
 
 
 @dataclass(frozen=True)
@@ -138,7 +151,7 @@ class ParameterSet:
 
 
 class Discretization:
-    """One parameter set's coefficients on one grid; all arrays read-only.
+    """One parameter set's coefficients on one grid, unchanged once built.
 
     The one home of the discretization rule: cells carry the midpoint
     values phi, D and pi, and a face carries the arithmetic mean of D and
@@ -149,6 +162,11 @@ class Discretization:
     pairs them: ``l_idx``, ``r_idx`` (flat cell indices), ``dphi``, ``dD``
     (right minus left) and ``Dbar`` are flat arrays over that list.
 
+    The mobility is the one time-dependent coefficient and is not kept:
+    :meth:`pi` evaluates it at each call, and :meth:`face_mean` takes the
+    caller's cell values to the faces.  Nothing on the object changes
+    after construction, so runs and threads share it freely.
+
     It also lists the backward-Euler Newton Jacobian, the one place that
     does: the sparsity pattern is built once, in CSC form (``jac_indptr``,
     ``jac_indices``, rows sorted in each column), and
@@ -158,21 +176,22 @@ class Discretization:
     def __init__(self, grid: TensorGrid, params: ParameterSet):
         self.grid = grid
         self.mobility = params.mobility
-        self.phi = _read_only(params.potential.on_grid(grid))
-        self.D = _read_only(params.diffusion.on_grid(grid))
-        if np.any(self.D <= 0.0):
-            raise ValueError("diffusion must be positive on the grid")
+        self.phi = _checked(params.potential.on_grid(grid), "potential", positive=False)
+        self.D = _checked(params.diffusion.on_grid(grid), "diffusion")
         n = grid.n_total
         cells = np.arange(n)
         pairs = [adjacent_cell_values(cells.reshape(grid.shape), axis, grid.boundary)
                  for axis in range(grid.dim)]
-        self._face_shapes = tuple(l_idx.shape for l_idx, _ in pairs)
+        # Each axis's part of the face list and its per-axis shape.
+        stops = np.cumsum([l_idx.size for l_idx, _ in pairs])
+        self._axis_faces = tuple((slice(stop - l_idx.size, stop), l_idx.shape)
+                                 for stop, (l_idx, _) in zip(stops, pairs))
         L = self.l_idx = _read_only(np.concatenate([l_idx.ravel() for l_idx, _ in pairs]))
         R = self.r_idx = _read_only(np.concatenate([r_idx.ravel() for _, r_idx in pairs]))
         phi, D = self.phi.ravel(), self.D.ravel()
         self.dphi = _read_only(phi[R] - phi[L])
         self.dD = _read_only(D[R] - D[L])
-        self.Dbar = _read_only(0.5 * (D[L] + D[R]))
+        self.Dbar = _read_only(self.face_mean(self.D))
         # Jacobian COO entries in jacobian_values' order: the diagonal, then
         # (L, L), (L, R), (R, L), (R, R) of every face.
         rows = np.concatenate((cells, L, L, R, R))
@@ -189,7 +208,6 @@ class Discretization:
         self.jac_indptr = _read_only(np.searchsorted(keys, np.arange(n + 1) * n))
         self.jac_indices = _read_only(keys % n)
         self._jac_slot = _read_only(slot)
-        self._mobility_cache: Optional[tuple[float, np.ndarray, np.ndarray]] = None
 
     def divergence(self, face_values: np.ndarray) -> np.ndarray:
         """Cell-wise divergence of values on the face list: +J/h into L, -J/h into R."""
@@ -197,13 +215,30 @@ class Discretization:
         net = np.bincount(self.l_idx, face_values, n) - np.bincount(self.r_idx, face_values, n)
         return (net / self.grid.h).reshape(self.grid.shape)
 
+    def cell_faces(self, face_values: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
+        """(lower, upper) face value of ``axis`` at each cell, 0 at a no-flux wall.
+
+        A face of the axis is the lower face of its cell R and the upper
+        face of its cell L, so each bin of the two ``np.bincount`` calls
+        receives one term: the face value itself.
+        """
+        axis_faces, n = self._axis_faces[axis][0], self.grid.n_total
+        values = face_values[axis_faces]
+        lower = np.bincount(self.r_idx[axis_faces], values, n)
+        upper = np.bincount(self.l_idx[axis_faces], values, n)
+        return lower.reshape(self.grid.shape), upper.reshape(self.grid.shape)
+
     def face_field(self, face_values: np.ndarray) -> FaceField:
         """The :class:`~fpflow.grid.FaceField` of values on the face list."""
-        parts = np.split(face_values, np.cumsum([np.prod(s) for s in self._face_shapes])[:-1])
         return FaceField(self.grid, tuple(
-            embed_interior_faces(part.reshape(shape), self.grid, axis)
-            for axis, (part, shape) in enumerate(zip(parts, self._face_shapes))
+            embed_interior_faces(face_values[axis_faces].reshape(shape), self.grid, axis)
+            for axis, (axis_faces, shape) in enumerate(self._axis_faces)
         ))
+
+    def face_mean(self, cell_values: np.ndarray) -> np.ndarray:
+        """Arithmetic mean of cell values over each face's two cells, on the face list."""
+        flat = cell_values.ravel()
+        return 0.5 * (flat[self.l_idx] + flat[self.r_idx])
 
     def jacobian_values(self, dj_l: np.ndarray, dj_r: np.ndarray, c: float) -> np.ndarray:
         """CSC values of I + c * d(div J)/df on ``jac_indptr`` and ``jac_indices``.
@@ -217,26 +252,9 @@ class Discretization:
         values = np.concatenate((np.ones(self.grid.n_total), jl, jr, -jl, -jr))
         return np.bincount(self._jac_slot, weights=values, minlength=len(self.jac_indices))
 
-    def _mobility_at(self, t: float) -> tuple[float, np.ndarray, np.ndarray]:
-        cached = self._mobility_cache
-        if cached is None or t != cached[0]:
-            pi = _read_only(self.mobility.on_grid(self.grid, t))
-            if np.any(pi <= 0.0):
-                raise ValueError(f"mobility must be positive on the grid at t = {t}")
-            flat = pi.ravel()
-            # Replaced whole, never updated in place, so that concurrent
-            # readers always see the pi and pibar of one time.
-            cached = (t, pi, _read_only(0.5 * (flat[self.l_idx] + flat[self.r_idx])))
-            self._mobility_cache = cached
-        return cached
-
     def pi(self, t: float) -> np.ndarray:
-        """Cell values of the mobility at time t."""
-        return self._mobility_at(t)[1]
-
-    def pibar(self, t: float) -> np.ndarray:
-        """Face means of the mobility at time t, over the face list."""
-        return self._mobility_at(t)[2]
+        """Cell values of the mobility at time t, evaluated and checked at each call."""
+        return _checked(self.mobility.on_grid(self.grid, t), f"mobility at t = {t}")
 
 
 @dataclass(frozen=True)

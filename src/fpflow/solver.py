@@ -93,25 +93,29 @@ The :class:`~fpflow.params.Discretization` lists every interior face
 once: the flux and dJ/df_L, dJ/df_R gather cell values through each
 face's two cell indices, and the residual scatters J back to the cells.
 It also lists the Jacobian: it builds the sparsity pattern once and
-fills it from dJ/df.  Each flux evaluation keeps the face terms those
-derivatives reuse, and dJ/df is formed only after the residual test has failed, for
-the update that follows: the iteration that stops forms none.  One
-:func:`run` (or one :func:`backward_euler_step`) solves its Newton
-systems through one object, which keeps the last matrix with its SuperLU
-factors once they are made.  When the next Jacobian's values are bitwise
+fills it from dJ/df.  The face coefficient Dbar / (pibar h) depends on
+the step's time alone, so each step evaluates the mobility once and
+forms it once, before its first Newton iteration.  Each flux evaluation
+keeps the face terms the derivatives reuse, and dJ/df is formed only
+after the residual test has failed, for the update that follows: the
+iteration that stops forms none.  One :func:`run` (or one
+:func:`backward_euler_step`) solves its Newton systems through one
+object, which keeps the last matrix with its SuperLU factors once they
+are made.  When the next Jacobian's values are bitwise
 equal to the kept ones, as they are at every update for constant D and a
 time-independent mobility, the kept factors solve it: SuperLU is
 deterministic, so the update has the same bits as with a new
 factorization.  Otherwise the old factors are dropped before the new
 matrix is factored.  The kept factors live only in the call's local
-state, never on the Discretization, which is shared across runs and
-threads.
+state: the Discretization, shared across runs and threads, keeps
+nothing that a run changes.
 """
 
 from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Callable, Optional
 
 import numpy as np
@@ -146,16 +150,14 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.t_final < np.inf:
             raise ValueError(f"t_final must be positive and finite, got {self.t_final}")
-        if self.n_steps < 1:
-            raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
+        for name in ("n_steps", "newton_max_iters", "record_every"):
+            count = getattr(self, name)
+            if not isinstance(count, Integral) or count < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {count!r}")
         if not 0.0 < self.newton_tol < 1.0:
             raise ValueError(f"newton_tol must lie in (0, 1), got {self.newton_tol}")
-        if self.newton_max_iters < 1:
-            raise ValueError("newton_max_iters must be >= 1")
         if not self.positivity_floor > 0.0:
             raise ValueError("positivity_floor must be positive")
-        if self.record_every < 1:
-            raise ValueError("record_every must be >= 1")
 
 
 _TRACE_COLUMNS = ("t", "mass", "F", "F_rel", "D_dis", "f_min", "f_max")
@@ -256,17 +258,22 @@ def _bernoulli_slopes(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndar
     return np.where(pos, e, d), np.where(pos, d, e)
 
 
-def _face_quantities(disc: Discretization, f: np.ndarray, t: float) -> dict:
+def _face_coefficient(disc: Discretization, t: float) -> np.ndarray:
+    """Dbar / (pibar h) on the face list: the flux's factor that does not depend on f."""
+    return disc.Dbar / (disc.face_mean(disc.pi(t)) * disc.grid.h)
+
+
+def _face_quantities(disc: Discretization, f: np.ndarray, coef: np.ndarray) -> dict:
     """Flux J on the Discretization's face list, with the face terms its derivatives reuse.
 
-    Beside J it holds f_L, f_R, a, coef, B(-a) and B(a), from which
+    ``coef`` is :func:`_face_coefficient` at the flux's time.  Beside J the
+    result holds f_L, f_R, a, coef, B(-a) and B(a), from which
     :func:`_face_derivatives` forms dJ/df when a Newton update needs it.
     """
     flat = f.ravel()
     logf = np.log(flat)
     f_l, f_r = flat[disc.l_idx], flat[disc.r_idx]
     a = -(disc.dphi + 0.5 * (logf[disc.l_idx] + logf[disc.r_idx]) * disc.dD) / disc.Dbar
-    coef = disc.Dbar / (disc.pibar(t) * disc.grid.h)
     b_m, b_p = _bernoulli_pair(a)
     return {
         "J": coef * (b_m * f_l - b_p * f_r),
@@ -289,7 +296,7 @@ def assemble_flux(f: ScalarField, params: ParameterSet, t: float) -> FaceField:
     if np.any(f.values <= 0.0):
         raise ValueError("assemble_flux requires a strictly positive density")
     disc = params.discretize(f.grid)
-    return disc.face_field(_face_quantities(disc, f.values, t)["J"])
+    return disc.face_field(_face_quantities(disc, f.values, _face_coefficient(disc, t))["J"])
 
 
 # ----------------------------------------------------------------------
@@ -413,11 +420,12 @@ def _newton_solve(
     tol_abs = config.newton_tol * scale
     roundoff = 64.0 * np.finfo(float).eps * scale
     c = dt / grid.h
+    coef = _face_coefficient(disc, t_new)
 
     f = f_old.copy()
     rnorm = np.inf
     for it in range(config.newton_max_iters + 1):
-        quantities = _face_quantities(disc, f, t_new)
+        quantities = _face_quantities(disc, f, coef)
         prev = rnorm
         with np.errstate(over="ignore", invalid="ignore"):
             residual = f - f_old + dt * disc.divergence(quantities["J"])
@@ -460,8 +468,10 @@ def backward_euler_step(
     config: SolverConfig,
 ) -> ScalarField:
     """One implicit step of size dt landing at time t_new."""
-    if dt <= 0.0:
-        raise ValueError(f"step size must be positive, got {dt}")
+    if not 0.0 < dt < np.inf:
+        raise ValueError(f"step size must be positive and finite, got {dt}")
+    if not np.isfinite(t_new):
+        raise ValueError(f"t_new must be finite, got {t_new}")
     if np.any(f_old.values <= 0.0):
         raise ValueError("backward_euler_step requires a strictly positive start")
     disc = params.discretize(f_old.grid)

@@ -21,13 +21,8 @@ from fpflow import (
     face_gradient,
     integrate,
 )
-from fpflow.grid import (
-    adjacent_cell_values,
-    cell_average_of_faces,
-    cell_mean_square_of_faces,
-    embed_interior_faces,
-    face_difference_at_cells,
-)
+from fpflow.grid import adjacent_cell_values, embed_interior_faces
+from tests.conftest import build_parameter_set
 
 ALL_BOUNDARIES = (Boundary.PERIODIC, Boundary.NOFLUX)
 
@@ -84,8 +79,15 @@ def test_grid_validation():
         build_grid(0, 8, Boundary.PERIODIC)
     with pytest.raises(ValueError):
         build_grid(1, 1, Boundary.PERIODIC)
+    with pytest.raises(ValueError, match="dim"):
+        build_grid(2.0, 8, Boundary.PERIODIC)
+    with pytest.raises(ValueError, match="n_cells"):
+        build_grid(1, 2.5, Boundary.PERIODIC)
+    with pytest.raises(ValueError, match="n_cells"):
+        build_grid(1, 8.0, Boundary.PERIODIC)
     with pytest.raises(TypeError):
         build_grid(1, 8, "periodic")
+    assert build_grid(np.int64(2), np.int32(8), Boundary.PERIODIC).shape == (8, 8)
 
 
 # ----------------------------------------------------------------------
@@ -282,31 +284,37 @@ def test_divergence_of_uniform_periodic_flux_vanishes():
 # ----------------------------------------------------------------------
 
 
+def face_list_values(dim, n_cells, boundary, seed):
+    """A Discretization on a fresh grid and random values on its face list."""
+    grid = build_grid(dim, n_cells, boundary)
+    disc = build_parameter_set(dim, "D:single", n_cells).discretize(grid)
+    return disc, np.random.default_rng(seed).standard_normal(disc.l_idx.shape)
+
+
 @pytest.mark.parametrize("boundary", ALL_BOUNDARIES)
 def test_face_to_cell_reductions(boundary):
-    grid = build_grid(1, 5, boundary)
-    rng = np.random.default_rng(3)
-    flux = random_face_field(grid, rng)
-    comp = flux.components[0]
-    if boundary is Boundary.PERIODIC:
-        lo, hi = comp, np.roll(comp, -1)
-    else:
-        lo, hi = comp[:-1], comp[1:]
-    np.testing.assert_allclose(
-        cell_average_of_faces(flux, 0), 0.5 * (lo + hi), rtol=1e-14
-    )
-    np.testing.assert_allclose(
-        cell_mean_square_of_faces(flux, 0), 0.5 * (lo**2 + hi**2), rtol=1e-14
-    )
-    np.testing.assert_allclose(
-        face_difference_at_cells(flux, 0), (hi - lo) / grid.h, rtol=1e-14
-    )
+    # Each cell's lower and upper face of an axis, bit for bit as per-axis
+    # slices of the face array give them; a 2-cell periodic axis lists the
+    # same cell pair twice, once as each cell's lower face.
+    for dim in (1, 2, 3):
+        for n_cells in (2, 3, 5):
+            disc, values = face_list_values(dim, n_cells, boundary, 3 + n_cells)
+            field = disc.face_field(values)
+            for axis in range(dim):
+                comp = field.components[axis]
+                if boundary is Boundary.PERIODIC:
+                    lo, hi = comp, np.roll(comp, -1, axis=axis)
+                else:
+                    lo, hi = adjacent_cell_values(comp, axis, Boundary.NOFLUX)
+                lower, upper = disc.cell_faces(values, axis)
+                np.testing.assert_array_equal(lower, lo)
+                np.testing.assert_array_equal(upper, hi)
 
 
 def test_mean_square_dominates_square_of_mean():
-    grid = build_grid(1, 8, Boundary.PERIODIC)
-    rng = np.random.default_rng(11)
-    flux = random_face_field(grid, rng)
-    avg = cell_average_of_faces(flux, 0)
-    msq = cell_mean_square_of_faces(flux, 0)
-    assert np.all(msq >= avg**2 - 1e-15)
+    for dim in (1, 2, 3):
+        for boundary in ALL_BOUNDARIES:
+            disc, values = face_list_values(dim, 5, boundary, 11)
+            for axis in range(dim):
+                lo, hi = disc.cell_faces(values, axis)
+                assert np.all(0.5 * (lo**2 + hi**2) >= (0.5 * (lo + hi)) ** 2 - 1e-15)

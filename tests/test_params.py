@@ -310,15 +310,20 @@ def counting(pset):
     return ParameterSet(**fields, name=pset.name), calls
 
 
-def test_run_evaluates_static_coefficients_once_and_mobility_once_per_time():
+def test_run_evaluates_static_coefficients_once_and_mobility_once_per_step_and_row():
+    # One mobility evaluation per Newton step, at its new time, and one per
+    # recorded trace row (the dissipation's); none is kept between them.
     grid = build_grid(1, 32, Boundary.PERIODIC)
     pset, calls = counting(build_parameter_set(1, "D:single", 32))
     f0 = preset_gaussian_ic(1, variance=0.05).build(grid)
-    run(f0, pset, SolverConfig(t_final=0.5, n_steps=20))
+    config = SolverConfig(t_final=0.5, n_steps=20, record_every=4)
+    run(f0, pset, config)
     assert len(calls["potential"]) == 1
     assert len(calls["diffusion"]) == 1
-    times = [args[-1] for args in calls["mobility"]]
-    assert len(times) == 21 and len(set(times)) == 21
+    dt = config.t_final / config.n_steps
+    steps = [k * dt for k in range(1, 21)]
+    rows = [k * dt for k in range(0, 21, 4)]
+    assert sorted(args[-1] for args in calls["mobility"]) == sorted(steps + rows)
 
 
 def test_linear_operator_evaluates_static_coefficients_once():
@@ -327,7 +332,10 @@ def test_linear_operator_evaluates_static_coefficients_once():
     build_linear_operator(pset, grid)
     assert len(calls["potential"]) == 1
     assert len(calls["diffusion"]) == 1
-    assert [args[-1] for args in calls["mobility"]] == [0.0, 0.37]
+    # The unit-mobility probe at 0.0 and 0.37, then one evaluation at 0.0
+    # per flux probe.
+    times = [args[-1] for args in calls["mobility"]]
+    assert times[:2] == [0.0, 0.37] and set(times[2:]) == {0.0}
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -374,8 +382,8 @@ def test_discretization_is_memoized_and_read_only(boundary):
     assert pset.discretize(build_grid(2, 6, boundary)) is disc
     # One flat entry per interior face: 2 axes x 6 lines x 6 or 5 faces.
     n_faces = 2 * 6 * (6 if boundary is Boundary.PERIODIC else 5)
-    faces = [disc.pibar(0.3), disc.dphi, disc.dD, disc.Dbar, disc.l_idx, disc.r_idx]
-    assert all(arr.shape == (n_faces,) for arr in faces)
+    faces = [disc.dphi, disc.dD, disc.Dbar, disc.l_idx, disc.r_idx]
+    assert all(arr.shape == (n_faces,) for arr in [*faces, disc.face_mean(disc.pi(0.3))])
     for arr in [disc.phi, disc.D, disc.pi(0.3), *faces]:
         with pytest.raises(ValueError, match="read-only"):
             arr[...] = 0

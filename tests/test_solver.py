@@ -12,11 +12,11 @@ import re
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.sparse.linalg import SuperLU
 
 import fpflow.solver as solver_mod
 from fpflow import (
@@ -67,11 +67,22 @@ def gaussian_start(grid, variance=0.05, floor_rel=1e-10):
         dict(t_final=1.0, n_steps=1, newton_max_iters=0),
         dict(t_final=1.0, n_steps=1, positivity_floor=0.0),
         dict(t_final=1.0, n_steps=1, record_every=0),
+        dict(t_final=1.0, n_steps=2.5),
+        dict(t_final=1.0, n_steps=3.0),
+        dict(t_final=1.0, n_steps=1, newton_max_iters=2.5),
+        dict(t_final=1.0, n_steps=1, record_every=1.5),
     ],
 )
 def test_solver_config_validation(kwargs):
     with pytest.raises(ValueError):
         SolverConfig(**kwargs)
+
+
+def test_solver_config_accepts_numpy_integer_counts():
+    config = SolverConfig(
+        t_final=1.0, n_steps=np.int64(4), newton_max_iters=np.int32(20), record_every=np.int64(2)
+    )
+    assert config.n_steps == 4 and config.newton_max_iters == 20 and config.record_every == 2
 
 
 def _toy_trace(n=6):
@@ -388,6 +399,33 @@ def test_flux_rejects_nonpositive_coefficients():
         assemble_flux(f, bad_pi, 0.0)
 
 
+@pytest.mark.parametrize(
+    "kind, bad, match",
+    [
+        ("potential", np.nan, "potential must be finite"),
+        ("diffusion", np.nan, "diffusion must be positive and finite"),
+        ("diffusion", np.inf, "diffusion must be positive and finite"),
+        ("mobility", np.nan, "mobility at t = 0.0 must be positive and finite"),
+        ("mobility", np.inf, "mobility at t = 0.0 must be positive and finite"),
+    ],
+)
+def test_run_rejects_non_finite_coefficients(kind, bad, match):
+    # One cell's value is NaN or infinite: the run stops with a ValueError
+    # naming the coefficient, before any arithmetic on it could warn.
+    grid = build_grid(1, 16, Boundary.PERIODIC)
+    base = build_parameter_set(1, "D:single", 16)
+    field = getattr(base, kind)
+
+    def spoiled(x, *t, _evaluate=field.evaluate):
+        return _evaluate(x, *t) * np.where(x > 0.9, bad, 1.0)
+
+    pset = replace(base, **{kind: replace(field, evaluate=spoiled)})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=match):
+            run(gaussian_start(grid), pset, SolverConfig(t_final=0.1, n_steps=2))
+
+
 def test_noflux_flux_has_zero_wall_values():
     grid = build_grid(2, 10, Boundary.NOFLUX)
     pset = build_parameter_set(2, "D:single", grid.n_cells)
@@ -411,8 +449,12 @@ def test_step_validation():
     pset = build_parameter_set(1, "D:homogeneous", 16)
     config = SolverConfig(t_final=1.0, n_steps=10)
     f = gaussian_start(grid)
-    with pytest.raises(ValueError, match="step size"):
-        backward_euler_step(f, pset, 0.1, 0.0, config)
+    for dt in (0.0, -0.1, np.nan, np.inf):
+        with pytest.raises(ValueError, match="step size"):
+            backward_euler_step(f, pset, 0.1, dt, config)
+    for t_new in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="t_new"):
+            backward_euler_step(f, pset, t_new, 0.1, config)
     flat = np.zeros(grid.shape)
     flat[0] = 1.0 / grid.cell_volume
     with pytest.raises(ValueError, match="positive"):
@@ -887,12 +929,15 @@ def test_reused_factors_give_the_bits_of_fresh_ones(monkeypatch, dim, boundary):
         np.testing.assert_array_equal(getattr(trace, name), column)
 
 
-def test_concurrent_runs_on_one_discretization_match_serial_runs():
+@pytest.mark.parametrize("mobility_ref", ["pi:unit", "pi:standard"])
+def test_concurrent_runs_on_one_discretization_match_serial_runs(mobility_ref):
     # Two runs with different steps share one ParameterSet, grid and so
-    # Discretization.  Factors kept on that shared object would be read
-    # by the other thread.
+    # Discretization.  Factors or mobility values kept on that shared
+    # object would be read by the other thread, at another time.
     grid = build_grid(2, 16, Boundary.PERIODIC)
-    pset = build_parameter_set(2, "D:homogeneous", grid.n_cells, mobility_ref="pi:unit")
+    pset = build_parameter_set(2, "D:homogeneous", grid.n_cells, mobility_ref=mobility_ref)
+    disc = pset.discretize(grid)
+    attributes = dict(vars(disc))
     f0 = gaussian_start(grid)
     configs = [SolverConfig(t_final=0.3, n_steps=n) for n in (6, 10)]
     serial = [run(f0, pset, config) for config in configs]
@@ -907,9 +952,9 @@ def test_concurrent_runs_on_one_discretization_match_serial_runs():
         np.testing.assert_array_equal(t_final.values, s_final.values)
         for name in ("t", "mass", "F", "F_rel", "D_dis", "f_min", "f_max"):
             np.testing.assert_array_equal(getattr(t_trace, name), getattr(s_trace, name))
-    disc = pset.discretize(grid)
-    kept_kinds = (SuperLU, solver_mod._NewtonSystem)
-    assert not any(isinstance(v, kept_kinds) for v in vars(disc).values())
+    assert pset.discretize(grid) is disc
+    assert vars(disc).keys() == attributes.keys()
+    assert all(vars(disc)[name] is value for name, value in attributes.items())
 
 
 @pytest.mark.parametrize("boundary", [Boundary.PERIODIC, Boundary.NOFLUX])
