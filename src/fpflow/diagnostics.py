@@ -231,6 +231,13 @@ def second_derivative_identity(
     first (the only ones for homogeneous coefficients), the five
     diffusion-gradient couplings next, and six mobility couplings last.
     """
+    grid = f.grid
+    if grid.boundary is Boundary.NOFLUX and grid.n_cells < 3:
+        # The one-sided second-order differences at the walls need 3 cells.
+        raise ValueError(
+            "second_derivative_identity needs at least 3 cells per axis on a no-flux "
+            f"grid, got {grid.n_cells}"
+        )
     if len(fd_context) != 3:
         raise ValueError("fd_context must hold exactly three (t, F) rows")
     (t0, F0), (t1, F1), (t2, F2) = [(float(a), float(b)) for a, b in fd_context]
@@ -244,7 +251,6 @@ def second_derivative_identity(
     dt = 0.5 * (dt1 + dt2)
     lhs = (F2 - 2.0 * F1 + F0) / dt**2
 
-    grid = f.grid
     disc = params.discretize(grid)
     D = disc.D
     pi = disc.pi(t)

@@ -647,6 +647,11 @@ def _default_multimode(dim: int, n_cells: int) -> DiffusionField:
     if dim == 1:
         return preset_diffusion_multimode(1, (n_cells // 2,))
     if dim == 2:
+        # Caps (n/2, n/4) with the rule m1 < m2 need n/4 >= 2.
+        if n_cells < 8:
+            raise ValueError(
+                f"'D:multi' in 2D needs n_cells >= 8 for an active mode, got n_cells={n_cells}"
+            )
         return preset_diffusion_multimode(2, (n_cells // 2, n_cells // 4))
     return preset_diffusion_multimode(3, (n_cells // 2, max(n_cells // 2 - 2, 1), 4))
 

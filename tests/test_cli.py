@@ -165,6 +165,15 @@ def test_invalid_spec_values_exit_2(tmp_path, capsys, flags):
     assert err.startswith("error:")
 
 
+def test_2d_multimode_preset_on_too_coarse_a_grid_exits_2(tmp_path, capsys):
+    code, out, err = run_cli(capsys, [
+        "run", "fig-fe-2d-DM", "--n-cells", "4", "--out", str(tmp_path),
+    ])
+    assert code == 2
+    assert out == ""
+    assert err == "error: 'D:multi' in 2D needs n_cells >= 8 for an active mode, got n_cells=4\n"
+
+
 def test_argparse_rejects_bad_choices():
     with pytest.raises(SystemExit) as exc:
         main(["run", "--boundary", "diagonal"])

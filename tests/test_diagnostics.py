@@ -277,6 +277,25 @@ def test_identity_enforces_regime_assumptions():
         second_derivative_identity(f, varying_pi, 0.2, Regime.INHOMOGENEOUS_D, rows)
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_identity_rejects_two_cell_noflux_grids(dim):
+    # Its wall derivatives are one-sided second-order differences, which
+    # need 3 cells; a 2-cell periodic axis wraps instead.
+    rows = [(0.1, 1.0), (0.2, 0.9), (0.3, 0.85)]
+    pset = build_parameter_set(dim, "D:homogeneous", 2, mobility_ref="pi:unit")
+    for boundary in (Boundary.NOFLUX, Boundary.PERIODIC):
+        f = random_density(build_grid(dim, 2, boundary), dim)
+        if boundary is Boundary.PERIODIC:
+            assert np.isfinite(
+                second_derivative_identity(f, pset, 0.2, Regime.HOMOGENEOUS, rows).residual
+            )
+            continue
+        with pytest.raises(
+            ValueError, match=r"at least 3 cells per axis on a no-flux grid, got 2$"
+        ):
+            second_derivative_identity(f, pset, 0.2, Regime.HOMOGENEOUS, rows)
+
+
 def test_identity_matches_trace_curvature_in_homogeneous_regime():
     pset, trace, snaps = _context_run()
     k = 250

@@ -199,6 +199,16 @@ def test_diffusion_multimode_validation():
         preset_diffusion_multimode(2, (1, 1))
 
 
+@pytest.mark.parametrize("n_cells", [2, 4, 6, 7])
+def test_2d_multimode_preset_names_its_minimum_grid(n_cells):
+    # Caps (n/2, n/4) with the rule m1 < m2 select no mode below 8 cells.
+    with pytest.raises(
+        ValueError, match=rf"^'D:multi' in 2D needs n_cells >= 8 .*, got n_cells={n_cells}$"
+    ):
+        build_parameter_set(2, "D:multi", n_cells)
+    build_parameter_set(2, "D:multi", 8)
+
+
 def test_diffusion_lower_bound_must_be_positive():
     from fpflow import DiffusionField
 

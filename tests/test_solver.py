@@ -732,6 +732,91 @@ def test_3d_krylov_iterations_grow_slowly_with_the_grid(monkeypatch, boundary):
     assert medians[16] <= 2 * medians[8], medians
 
 
+def _record_solves(monkeypatch):
+    """Record each Newton solve as (rtol, max-norm of rhs, iterate f, update x)."""
+    solves = []
+    inner = solver_mod._NewtonSystem.solve
+
+    def recorded(self, data, rhs, f, rtol):
+        x = inner(self, data, rhs, f, rtol)
+        solves.append((rtol, float(np.max(np.abs(rhs))), f.copy(), x.copy()))
+        return x
+
+    monkeypatch.setattr(solver_mod._NewtonSystem, "solve", recorded)
+    return solves
+
+
+def _forcing_floor(config, f_old, rnorm):
+    """The rtol every update may take: 1% of the Newton tolerance."""
+    tol = config.newton_tol * max(1.0, float(np.max(f_old)))
+    return min(0.1, max(1e-13, 0.01 * tol / rnorm))
+
+
+def _preset_solves_by_step(monkeypatch, preset, boundary):
+    """Per step of a preset run, the (rtol, floor) of each Newton solve."""
+    solves = _record_solves(monkeypatch)
+    _grid, pset, f0, config = materialize(preset, boundary)
+    steps, f_old = [], np.maximum(f0.values, config.positivity_floor)
+
+    def on_step(_k, _t, f):
+        nonlocal f_old
+        steps.append([(rtol, _forcing_floor(config, f_old, rn)) for rtol, rn, _f, _x in solves])
+        solves.clear()
+        f_old = f.values
+
+    run(f0, pset, config, on_step=on_step)
+    return steps
+
+
+@pytest.mark.parametrize("boundary", [Boundary.PERIODIC, Boundary.NOFLUX])
+def test_linear_3d_runs_solve_every_update_at_the_forcing_floor(monkeypatch, boundary):
+    # A linear step has C ~ 0, so nothing is loosened.
+    steps = _preset_solves_by_step(monkeypatch, "fig-fe-3d-hom", boundary)
+    assert len(steps) == 10
+    assert all(rtol == floor for step in steps for rtol, floor in step)
+
+
+@pytest.mark.parametrize("boundary", [Boundary.PERIODIC, Boundary.NOFLUX])
+def test_nonlinear_3d_runs_loosen_only_updates_that_are_not_a_steps_last(
+    monkeypatch, boundary
+):
+    steps = _preset_solves_by_step(monkeypatch, "fig-fe-3d-coarse-DM", boundary)
+    assert len(steps) == 5
+    for step in steps:
+        last_rtol, last_floor = step[-1]
+        assert last_rtol == last_floor
+        assert all(rtol >= floor for rtol, floor in step)
+    assert sum(rtol > floor for step in steps for rtol, floor in step) >= 1
+
+
+@pytest.mark.parametrize("boundary", [Boundary.PERIODIC, Boundary.NOFLUX])
+def test_a_damped_update_forgets_the_measured_nonlinearity(monkeypatch, boundary):
+    # A step from a wide Gaussian measures C under D:single.  The next
+    # step, through the same system from a narrow unregularized Gaussian,
+    # damps its first update, which C loosened, and many after it.
+    solves = _record_solves(monkeypatch)
+    grid = build_grid(3, 8, boundary)
+    disc = build_parameter_set(3, "D:single", 8).discretize(grid)
+    config = SolverConfig(t_final=0.1, n_steps=2)
+    system = solver_mod._NewtonSystem(disc)
+    solver_mod._newton_solve(disc, gaussian_start(grid, 0.08).values, 0.05, 0.05, config, system)
+    assert system.curvature is not None
+    solves.clear()
+    narrow = preset_gaussian_ic(3, variance=0.04).build(grid).values
+    solver_mod._newton_solve(disc, narrow, 0.1, 0.05, config, system)
+    loose = [rtol > _forcing_floor(config, narrow, rn) for rtol, rn, _f, _x in solves]
+    damped = [
+        not np.array_equal(f_next, f.ravel() + x)
+        for (_r, _rn, f, x), (_r2, _rn2, f_next, _x2) in zip(solves, solves[1:])
+    ]
+    assert loose[0] and damped[0]
+    assert sum(damped) >= 10
+    for k, was_damped in enumerate(damped):
+        if was_damped:
+            assert not loose[k + 1], k
+    assert any(loose[k + 1] for k, was_damped in enumerate(damped) if not was_damped)
+
+
 @pytest.mark.parametrize("n_cells", [2, 3, 5])
 @pytest.mark.parametrize("boundary", [Boundary.PERIODIC, Boundary.NOFLUX])
 def test_separable_inverse_matches_a_dense_solve(n_cells, boundary):
