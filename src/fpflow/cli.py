@@ -12,6 +12,13 @@ Experiments are described by a flat key/value vocabulary, the fields of
 :class:`ExperimentSpec`, that appears identically as CLI flags and as
 ``--config`` file entries; explicit flags override the config file,
 which overrides the preset, which overrides the field defaults.
+
+Each value is checked once, by the object that uses it: the grid checks
+dim and n-cells, :class:`~fpflow.solver.SolverConfig` checks n-steps,
+t-final and record-every, and the :class:`~fpflow.params.Discretization`
+checks D and pi positive on the grid.  A bad value exits with status 2
+and one line before its run starts; ``compare`` builds every experiment
+before it runs any.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from typing import Optional, get_type_hints
 import numpy as np
 
 from . import checks, params as params_mod, svgplot
-from .diagnostics import fit_decay_rate
+from .diagnostics import DecayFit, fit_decay_rate
 from .equilibrium import equilibrium_state
 from .grid import Boundary, build_grid
 from .params import PresetNotFound
@@ -43,6 +50,7 @@ class ExperimentSpec:
     """Everything needed to reproduce one run, in CLI vocabulary.
 
     The fields are the experiment keys; their defaults describe a custom run.
+    It checks only the keys that no library object checks.
     """
 
     name: str = "custom"
@@ -59,29 +67,16 @@ class ExperimentSpec:
     record_every: int = 1
     fit_transient_frac: float = 0.1
     fit_floor: float = 1e-12
-    positivity_floor: float = 1e-280
 
     def __post_init__(self) -> None:
         if not self.name or any(sep in self.name for sep in "/\\"):
             raise UsageError(f"experiment name {self.name!r} is empty or contains a path separator")
-        if self.dim not in (1, 2, 3):
-            raise UsageError(f"dim must be 1, 2 or 3, got {self.dim}")
-        if self.n_cells < 2:
-            raise UsageError(f"n-cells must be >= 2, got {self.n_cells}")
-        if self.n_steps < 1:
-            raise UsageError(f"n-steps must be >= 1, got {self.n_steps}")
-        if not 0.0 < self.t_final < np.inf:
-            raise UsageError(f"t-final must be positive and finite, got {self.t_final}")
         if self.boundary not in ("periodic", "noflux", "both"):
             raise UsageError(f"boundary must be periodic, noflux or both, got {self.boundary!r}")
-        if self.record_every < 1:
-            raise UsageError("record-every must be >= 1")
         if not 0.0 <= self.fit_transient_frac < 1.0:
             raise UsageError("fit-transient-frac must lie in [0, 1)")
         if not self.fit_floor >= 0.0:
             raise UsageError("fit-floor must be nonnegative")
-        if not self.positivity_floor > 0.0:
-            raise UsageError("positivity-floor must be positive")
 
 
 # Named experiments.  The 1D trio reproduces the three diffusion panels
@@ -213,9 +208,16 @@ def _expand_boundaries(spec: ExperimentSpec) -> list[tuple[str, str]]:
 
 
 def _materialize(spec: ExperimentSpec, boundary: str):
+    """(grid, params, f0, config) of one boundary of ``spec``; a bad value is a UsageError.
+
+    The grid comes first: it checks dim, which the presets index by.
+    """
     bc = Boundary.PERIODIC if boundary == "periodic" else Boundary.NOFLUX
-    grid = build_grid(spec.dim, spec.n_cells, bc)
     try:
+        grid = build_grid(spec.dim, spec.n_cells, bc)
+        config = SolverConfig(
+            t_final=spec.t_final, n_steps=spec.n_steps, record_every=spec.record_every
+        )
         pset = params_mod.build_parameter_set(
             spec.dim, spec.diffusion_ref, spec.n_cells, mobility_ref=spec.mobility_ref,
             potential_ref=spec.potential_ref, name=spec.name,
@@ -225,30 +227,24 @@ def _materialize(spec: ExperimentSpec, boundary: str):
         raise UsageError(str(exc.args[0])) from None
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    # The solver lifts the initial datum to the floor and then requires
-    # unit mass; a floor too large for that is a bad flag, not a crash.
-    with np.errstate(over="ignore"):
-        mass = grid.cell_volume * float(np.sum(np.maximum(f0.values, spec.positivity_floor)))
-    if not abs(mass - 1.0) <= 1e-6:
-        raise UsageError(
-            f"positivity-floor {spec.positivity_floor!r} lifts the initial datum "
-            f"to mass {mass!r}; it must stay 1"
-        )
-    config = SolverConfig(
-        t_final=spec.t_final, n_steps=spec.n_steps, record_every=spec.record_every,
-        positivity_floor=spec.positivity_floor,
-    )
     return grid, pset, f0, config
 
 
-def _fit_summary(spec: ExperimentSpec, label: str, trace: EnergyTrace) -> Optional[str]:
+def _decay_fit(spec: ExperimentSpec, trace: EnergyTrace) -> tuple[Optional[DecayFit], str]:
+    """The spec's fit of the decay of F_rel, or None and why it was skipped."""
     try:
-        fit = fit_decay_rate(
+        return fit_decay_rate(
             trace, "F_rel",
             transient_frac=spec.fit_transient_frac, floor_rel=spec.fit_floor,
-        )
+        ), ""
     except ValueError as exc:
-        return f"{label}: fit skipped ({exc})"
+        return None, str(exc)
+
+
+def _fit_summary(spec: ExperimentSpec, label: str, trace: EnergyTrace) -> str:
+    fit, problem = _decay_fit(spec, trace)
+    if fit is None:
+        return f"{label}: fit skipped ({problem})"
     return (
         f"{label}: rate={fit.rate:.6g} r2={fit.r_squared:.8f} "
         f"window=[{fit.window[0]:.4g}, {fit.window[1]:.4g}] n={fit.n_points}"
@@ -311,8 +307,6 @@ def _max_workers(n_jobs: int) -> int:
 
 
 def cmd_compare(specs: list[ExperimentSpec]) -> int:
-    if len(specs) < 2:
-        raise UsageError("compare needs at least two experiments")
     dims = {s.dim for s in specs}
     cells = {s.n_cells for s in specs}
     if len(dims) > 1 or len(cells) > 1:
@@ -327,30 +321,27 @@ def cmd_compare(specs: list[ExperimentSpec]) -> int:
     if len(set(names)) != len(names):
         raise UsageError("compare experiments must have distinct names")
 
-    def worker(s: ExperimentSpec):
-        grid, pset, f0, config = _materialize(s, s.boundary)
-        _final, trace = run(f0, pset, config)
-        try:
-            fit = fit_decay_rate(
-                trace, "F_rel",
-                transient_frac=s.fit_transient_frac, floor_rel=s.fit_floor,
-            )
-            return trace, fit.rate, fit.r_squared, None
-        except ValueError as exc:
-            return trace, float("nan"), float("nan"), str(exc)
+    # Every member is checked before any of them runs.
+    jobs = [_materialize(s, s.boundary) for s in specs]
+
+    def worker(job) -> EnergyTrace:
+        _grid, pset, f0, config = job
+        return run(f0, pset, config)[1]
 
     with ThreadPoolExecutor(max_workers=_max_workers(len(specs))) as pool:
-        results = list(pool.map(worker, specs))
+        traces = list(pool.map(worker, jobs))
 
     # All runs finished; only now touch the filesystem.
     out_dir = specs[0].output_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     lines = ["name,rate,r_squared"]
     series = []
-    for s, (trace, rate, r2, problem) in zip(specs, results):
+    for s, trace in zip(specs, traces):
+        fit, problem = _decay_fit(s, trace)
+        rate, r2 = (fit.rate, fit.r_squared) if fit else (float("nan"), float("nan"))
         lines.append(f"{s.name},{rate!r},{r2!r}")
         series.append((s.name, trace.t, trace.F_rel))
-        if problem is not None:
+        if fit is None:
             print(f"warning: {s.name}: fit skipped ({problem})", file=sys.stderr)
         print(f"{s.name}: rate={rate:.6g} r2={r2:.8f}")
     _write_text(out_dir / "compare.csv", "\n".join(lines) + "\n")
@@ -411,10 +402,6 @@ def _add_spec_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--fit-floor", type=float, dest="fit_floor",
         help="relative floor below which rows are excluded from decay fits",
-    )
-    p.add_argument(
-        "--positivity-floor", type=float, dest="positivity_floor",
-        help="one-time clamp applied to the initial density before stepping",
     )
     p.add_argument("--config", help="flat key=value file with spec defaults")
 

@@ -8,10 +8,11 @@ mobility additionally takes the time ``t`` as its last argument.
 
 All grid discretizations are midpoint rules: a cell carries the value of
 the analytic function at its center; :class:`Discretization` keeps them
-with the grid's one list of interior faces.  It checks every value it
-takes (phi finite, D and pi positive and finite) and keeps no
+with the grid's one list of interior faces.  The fields carry no bounds
+of their own: the :class:`Discretization` checks every value it takes
+(phi finite, D and pi positive and finite) on the grid, and keeps no
 time-dependent state: the mobility is evaluated, and checked, at each
-request.
+request.  The bounds each preset's docstring states are documentation.
 """
 
 from __future__ import annotations
@@ -50,14 +51,12 @@ class PotentialField:
     """Confining potential phi(x) with analytic derivatives.
 
     ``evaluate(*coords)`` and each entry of the gradient/Hessian broadcast
-    over coordinate arrays.  ``convexity`` is a lower bound on the Hessian
-    spectrum when one is known (it may be negative for non-convex wells).
+    over coordinate arrays.
     """
 
     evaluate: Callable[..., np.ndarray]
     gradient: tuple[Callable[..., np.ndarray], ...]
     hessian: Optional[tuple[tuple[Callable[..., np.ndarray], ...], ...]] = None
-    convexity: Optional[float] = None
     name: str = "potential"
 
     def on_grid(self, grid: TensorGrid) -> np.ndarray:
@@ -81,16 +80,11 @@ class PotentialField:
 
 @dataclass(frozen=True)
 class DiffusionField:
-    """Spatially varying diffusion D(x) with analytic gradient and lower bound."""
+    """Spatially varying diffusion D(x) > 0 with analytic gradient."""
 
     evaluate: Callable[..., np.ndarray]
     gradient: tuple[Callable[..., np.ndarray], ...]
-    lower_bound: float
     name: str = "diffusion"
-
-    def __post_init__(self) -> None:
-        if self.lower_bound <= 0.0:
-            raise ValueError("diffusion lower bound must be positive")
 
     def on_grid(self, grid: TensorGrid) -> np.ndarray:
         return _full(grid, self.evaluate(*grid.center_mesh()))
@@ -110,13 +104,8 @@ class MobilityField:
 
     evaluate: Callable[..., np.ndarray]
     gradient: tuple[Callable[..., np.ndarray], ...]
-    lower_bound: float
     time_derivative: Optional[Callable[..., np.ndarray]] = None
     name: str = "mobility"
-
-    def __post_init__(self) -> None:
-        if self.lower_bound <= 0.0:
-            raise ValueError("mobility lower bound must be positive")
 
     def on_grid(self, grid: TensorGrid, t: float) -> np.ndarray:
         return _full(grid, self.evaluate(*grid.center_mesh(), t))
@@ -326,7 +315,6 @@ def _tensor_potential(ks: Sequence[int], name: str) -> PotentialField:
         evaluate=evaluate,
         gradient=gradient,
         hessian=hessian,
-        convexity=-((ks[0] * np.pi) ** 2) / 8.0 if len(ks) == 1 else None,
         name=name,
     )
 
@@ -373,7 +361,6 @@ def preset_potential_quadratic(dim: int) -> PotentialField:
         hessian=tuple(
             tuple(hess_component(i, j) for j in range(dim)) for i in range(dim)
         ),
-        convexity=1.0,
         name=f"phi{dim}d:quad",
     )
 
@@ -390,7 +377,6 @@ def preset_diffusion_homogeneous(dim: int) -> DiffusionField:
     return DiffusionField(
         evaluate=evaluate,
         gradient=(zero,) * dim,
-        lower_bound=1.0,
         name="D:homogeneous",
     )
 
@@ -400,7 +386,7 @@ def preset_diffusion_single_mode(dim: int) -> DiffusionField:
 
     1D: D(x) = 1 - sin^2(2 pi x)/2.  In 2D/3D each coordinate contributes
     a factor 1 - sin^2(m_d pi x_d)/2 with m = (1, 3) and (1, 3, 4).
-    The product of factor minima gives the positive lower bound.
+    Each factor lies in [1/2, 1], so D >= 0.5^dim.
     """
     modes = {1: (2,), 2: (1, 3), 3: (1, 3, 4)}[dim]
 
@@ -415,7 +401,6 @@ def preset_diffusion_single_mode(dim: int) -> DiffusionField:
     return DiffusionField(
         evaluate=evaluate,
         gradient=gradient,
-        lower_bound=0.5**dim,
         name="D:single",
     )
 
@@ -474,7 +459,6 @@ def preset_diffusion_multimode(
     return DiffusionField(
         evaluate=evaluate,
         gradient=tuple(grad_component(d) for d in range(dim)),
-        lower_bound=1.0,
         name=f"D:multi{dim}d" + "x".join(str(c) for c in mode_caps),
     )
 
@@ -521,7 +505,6 @@ def preset_mobility(dim: int) -> MobilityField:
     return MobilityField(
         evaluate=evaluate,
         gradient=tuple(grad_component(d) for d in range(dim)),
-        lower_bound=1.0 / (1.5 * 2.0**dim),
         time_derivative=time_derivative,
         name="pi:standard",
     )
@@ -541,7 +524,6 @@ def preset_mobility_unit(dim: int) -> MobilityField:
     return MobilityField(
         evaluate=evaluate,
         gradient=(zero,) * dim,
-        lower_bound=1.0,
         time_derivative=zero,
         name="pi:unit",
     )

@@ -37,8 +37,13 @@ of the largest sum of them over a cell's faces times dt / h.
 The Newton system J delta = -R is solved by sparse LU (SuperLU) in 1D and
 2D, and by preconditioned BiCGSTAB in 3D.  The LU factors of the
 seven-point 3D Jacobian fill in heavily (9.6 million L+U nonzeros for
-20^3 periodic cells) and the factorization took over 90% of a 3D run; in
-1D and 2D the direct solve measured faster.  The preconditioner inverts
+20^3 periodic cells) and the factorization took over 90% of a 3D run.
+2D stays on SuperLU because a linear run factors its one Newton matrix
+once and reuses the factors at every update (see the end of this note):
+on the linear 2D benchmark run (48^2 cells, 30 updates, 2-CPU machine)
+BiCGSTAB with a dimension-generic version of the preconditioner below took
+0.36 s where SuperLU took 0.14 s.  Nonlinear 2D runs, which factor
+every update, have not been compared.  The 3D preconditioner inverts
 a constant-coefficient model of the matrix, I + s K, with K the graph
 Laplacian of the face list, by fast diagonalization (Lynch, Rice &
 Thomas, Numer. Math. 6, 1964; as a preconditioner for nonseparable
@@ -87,8 +92,8 @@ Three details make the Krylov update as good as the direct one:
   so its Newton iterations are unchanged (Eisenstat-Walker's "choice 2",
   which loosens from the residual ratio alone, took 40 in place of 13 on
   the linear 3D preset).
-- Should BiCGSTAB fail (nonzero ``info``), the step falls back to the
-  direct solve.
+- Should BiCGSTAB fail (nonzero ``info``, or an iterate that overflows
+  to a non-finite x), the step falls back to the direct solve.
 
 On both paths the update's mass error is then removed exactly.  Every
 Jacobian column sums to one, so the exact update carries the mass of the
@@ -145,6 +150,11 @@ class PositivityLoss(RuntimeError):
     """Newton damping could not produce a positive iterate."""
 
 
+# The one-time lift of the initial datum: it keeps log f finite in empty
+# cells and is far too small to move the unit mass.
+_POSITIVITY_FLOOR = 1e-280
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Time-stepping and Newton controls for :func:`run`."""
@@ -153,7 +163,6 @@ class SolverConfig:
     n_steps: int
     newton_tol: float = 1e-10
     newton_max_iters: int = 50
-    positivity_floor: float = 1e-280
     record_every: int = 1
 
     def __post_init__(self) -> None:
@@ -165,8 +174,6 @@ class SolverConfig:
                 raise ValueError(f"{name} must be an integer >= 1, got {count!r}")
         if not 0.0 < self.newton_tol < 1.0:
             raise ValueError(f"newton_tol must lie in (0, 1), got {self.newton_tol}")
-        if not self.positivity_floor > 0.0:
-            raise ValueError("positivity_floor must be positive")
 
 
 _TRACE_COLUMNS = ("t", "mass", "F", "F_rel", "D_dis", "f_min", "f_max")
@@ -380,7 +387,7 @@ class _NewtonSystem:
         """Solve A x = rhs for the CSC values ``data`` of A on the Jacobian pattern.
 
         BiCGSTAB to ``rtol`` in 3D; SuperLU otherwise or when BiCGSTAB
-        fails.  The returned update carries the exact mass of ``rhs``; in 3D
+        fails or returns a non-finite x.  The returned update carries the exact mass of ``rhs``; in 3D
         its residual max|rhs - A x| is kept as ``rho``.  A singular system
         raises :class:`NonConvergence`.
         """
@@ -391,14 +398,17 @@ class _NewtonSystem:
                 (data, disc.jac_indices, disc.jac_indptr), shape=(disc.grid.n_total,) * 2
             )
         jac = self._matrix
-        info = 1
+        solved = False
         if disc.grid.dim == 3:
             norm = float(np.max(np.abs(rhs)))
-            x, info = bicgstab(
-                jac, rhs / norm, rtol=rtol, atol=0.0, M=self._preconditioner(jac, f)
-            )
-            x *= norm
-        if info != 0:
+            # An iterate that overflows is a failed solve, not a warning.
+            with np.errstate(over="ignore", invalid="ignore"):
+                x, info = bicgstab(
+                    jac, rhs / norm, rtol=rtol, atol=0.0, M=self._preconditioner(jac, f)
+                )
+                x *= norm
+            solved = info == 0 and bool(np.all(np.isfinite(x)))
+        if not solved:
             if self._lu is None:
                 try:
                     self._lu = splu(jac)
@@ -523,8 +533,8 @@ def run(
 ) -> tuple[ScalarField, EnergyTrace]:
     """Evolve f0 to t_final, recording the energy trace along the way.
 
-    The positivity floor is applied to the initial datum once; afterwards
-    the damped Newton iteration keeps every iterate positive.  The trace
+    The initial datum is lifted to the positivity floor, 1e-280, once;
+    afterwards the damped Newton iteration keeps every iterate positive.  The trace
     records the initial state and every ``record_every``-th step (plus
     the final one).  ``on_step(k, t, f)`` is invoked after each
     successful step, which is how tests capture interior snapshots.
@@ -532,7 +542,7 @@ def run(
     grid = f0.grid
     if not np.any(f0.values > 0.0):
         raise ValueError("initial datum is nonpositive everywhere")
-    vals = np.maximum(f0.values, config.positivity_floor)
+    vals = np.maximum(f0.values, _POSITIVITY_FLOOR)
     mass0 = grid.cell_volume * float(np.sum(vals))
     if abs(mass0 - 1.0) > 1e-6:
         raise ValueError(f"initial datum must carry unit mass, got {mass0!r}")

@@ -110,7 +110,6 @@ def test_normalization_rejects_unbracketable_problems():
         diffusion=DiffusionField(
             evaluate=lambda x: np.ones(np.shape(x)),
             gradient=(lambda x: np.zeros(np.shape(x)),),
-            lower_bound=1.0,
         ),
         mobility=get_mobility("pi:unit", 1),
     )

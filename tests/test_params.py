@@ -79,7 +79,6 @@ def test_potential_1d_values():
     np.testing.assert_allclose(
         phi.gradient[0](x), (np.pi / 4.0) * np.sin(2.0 * np.pi * x), rtol=1e-14
     )
-    assert phi.convexity == pytest.approx(-((2 * np.pi) ** 2) / 8.0)
 
 
 def test_potential_1d_rejects_bad_mode():
@@ -115,7 +114,6 @@ def test_potential_hessian_is_symmetric(dim):
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_quadratic_potential(dim):
     phi = preset_potential_quadratic(dim)
-    assert phi.convexity == 1.0
     coords = random_points(dim, seed=2)
     r2 = sum(c**2 for c in coords)
     np.testing.assert_allclose(phi.evaluate(*coords), 1.0 + 0.5 * r2, rtol=1e-14)
@@ -147,7 +145,6 @@ def test_diffusion_homogeneous_is_one(dim):
     np.testing.assert_array_equal(D.evaluate(*coords), 1.0)
     for g in D.gradient:
         np.testing.assert_array_equal(g(*coords), 0.0)
-    assert D.lower_bound == 1.0
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -156,8 +153,7 @@ def test_diffusion_single_mode(dim):
     coords = random_points(dim, seed=4)
     check_gradient(D.evaluate, D.gradient, coords)
     vals = D.evaluate(*coords)
-    assert np.all(vals >= D.lower_bound - 1e-14)
-    assert D.lower_bound == 0.5**dim
+    assert np.all(vals >= 0.5**dim - 1e-14)
 
 
 def test_diffusion_single_mode_1d_touches_lower_bound():
@@ -183,7 +179,7 @@ def test_diffusion_multimode_value_and_count():
 def test_diffusion_multimode_default_selection(dim, ref):
     D = get_diffusion(ref, dim, 20)
     coords = random_points(dim, seed=6)
-    assert np.all(D.evaluate(*coords) >= D.lower_bound - 1e-14)
+    assert np.all(D.evaluate(*coords) >= 1.0 - 1e-14)
     check_gradient(D.evaluate, D.gradient, coords)
 
 
@@ -207,13 +203,6 @@ def test_2d_multimode_preset_names_its_minimum_grid(n_cells):
     ):
         build_parameter_set(2, "D:multi", n_cells)
     build_parameter_set(2, "D:multi", 8)
-
-
-def test_diffusion_lower_bound_must_be_positive():
-    from fpflow import DiffusionField
-
-    with pytest.raises(ValueError):
-        DiffusionField(evaluate=lambda x: x, gradient=(lambda x: 1.0,), lower_bound=0.0)
 
 
 # ----------------------------------------------------------------------
@@ -241,7 +230,7 @@ def test_mobility_positive_and_bounded(dim):
     coords = random_points(dim, seed=8)
     for t in np.linspace(0.0, 2.0, 9):
         vals = pi.evaluate(*coords, t)
-        assert np.all(vals >= pi.lower_bound - 1e-14)
+        assert np.all(vals >= 1.0 / (1.5 * 2.0**dim) - 1e-14)
         assert np.all(vals <= 1.0 / (0.5 * 1.0) + 1e-14)  # time factor >= 1/2
 
 
@@ -266,7 +255,6 @@ def test_mobility_without_time_derivative_raises():
     pi = MobilityField(
         evaluate=lambda x, t: np.ones_like(x),
         gradient=(lambda x, t: np.zeros_like(x),),
-        lower_bound=1.0,
     )
     grid = build_grid(1, 4, Boundary.PERIODIC)
     with pytest.raises(ValueError, match="time-derivative"):

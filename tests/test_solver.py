@@ -65,7 +65,6 @@ def gaussian_start(grid, variance=0.05, floor_rel=1e-10):
         dict(t_final=1.0, n_steps=1, newton_tol=0.0),
         dict(t_final=1.0, n_steps=1, newton_tol=1.5),
         dict(t_final=1.0, n_steps=1, newton_max_iters=0),
-        dict(t_final=1.0, n_steps=1, positivity_floor=0.0),
         dict(t_final=1.0, n_steps=1, record_every=0),
         dict(t_final=1.0, n_steps=2.5),
         dict(t_final=1.0, n_steps=3.0),
@@ -380,7 +379,6 @@ def test_flux_rejects_nonpositive_coefficients():
         diffusion=DiffusionField(
             evaluate=lambda x: np.asarray(x, dtype=float),  # negative on half the box
             gradient=(lambda x: np.ones(np.shape(x)),),
-            lower_bound=1.0,
         ),
         mobility=base.mobility,
     )
@@ -392,7 +390,6 @@ def test_flux_rejects_nonpositive_coefficients():
         mobility=MobilityField(
             evaluate=lambda x, t: np.asarray(x, dtype=float),
             gradient=(lambda x, t: np.ones(np.shape(x)),),
-            lower_bound=1.0,
         ),
     )
     with pytest.raises(ValueError, match="mobility"):
@@ -756,7 +753,7 @@ def _preset_solves_by_step(monkeypatch, preset, boundary):
     """Per step of a preset run, the (rtol, floor) of each Newton solve."""
     solves = _record_solves(monkeypatch)
     _grid, pset, f0, config = materialize(preset, boundary)
-    steps, f_old = [], np.maximum(f0.values, config.positivity_floor)
+    steps, f_old = [], np.maximum(f0.values, solver_mod._POSITIVITY_FLOOR)
 
     def on_step(_k, _t, f):
         nonlocal f_old
@@ -882,11 +879,35 @@ def test_failed_bicgstab_falls_back_to_splu(monkeypatch):
     )
     direct_final, direct = _coarse_3d_run()
     assert counts["splu"] == counts["bicgstab"] > 0
-    for name in ("mass", "F", "F_rel", "D_dis", "f_min", "f_max"):
+    for name in ("mass", "F", "D_dis", "f_min", "f_max"):
         np.testing.assert_allclose(
             getattr(direct, name)[-1], getattr(krylov, name)[-1], rtol=1e-9, atol=0.0
         )
+    # F_rel = F - F_eq carries F's absolute rounding, so its bound is a few
+    # ulps of |F|: rtol=1e-9 alone is below one ulp of F when F_rel is small.
+    np.testing.assert_allclose(
+        direct.F_rel[-1], krylov.F_rel[-1], rtol=1e-9, atol=4 * np.spacing(abs(direct.F[-1]))
+    )
     np.testing.assert_allclose(direct_final.values, krylov_final.values, rtol=1e-9)
+
+
+def test_non_finite_bicgstab_solution_falls_back_to_splu(monkeypatch):
+    # An overflowing Krylov iterate can come back with info == 0.
+    counts = {}
+    _count_calls(monkeypatch, "splu", counts)
+    _count_calls(
+        monkeypatch, "bicgstab", counts,
+        replacement=lambda jac, b, **_kw: (np.full_like(b, np.inf), 0),
+    )
+    grid = build_grid(3, 6, Boundary.PERIODIC)
+    disc = build_parameter_set(3, "D:homogeneous", 6).discretize(grid)
+    n = grid.n_total
+    cols = np.repeat(np.arange(n), np.diff(disc.jac_indptr))
+    data = np.where(disc.jac_indices == cols, 1.0, 0.0)  # the identity
+    rhs = np.linspace(1.0, 2.0, n)
+    x = solver_mod._NewtonSystem(disc).solve(data, rhs, np.ones(n), 1e-10)
+    assert counts == {"bicgstab": 1, "splu": 1}
+    np.testing.assert_allclose(x, rhs, rtol=1e-15)
 
 
 @pytest.mark.parametrize("dim, n_cells", [(1, 100), (3, 6)])
