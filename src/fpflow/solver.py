@@ -59,9 +59,14 @@ grid where Jacobi's grows like n.  Each piece has a reason:
   clamped at 0: damped iterates next to empty cells can make diagonals
   negative.
 - I + sK keeps the constant vector; A does not wherever the drift has a
-  divergence.  The constant mode therefore gets N / sum d, the mean
-  Jacobi factor, in place of 1.  With 1, a step of dt = 1e300 takes
-  thousands of iterations.
+  divergence.  The constant mode therefore gets 1 / (1 + s lam_1), the
+  factor of the model's slowest non-constant mode (lam_1 the smallest
+  nonzero eigenvalue of T), in place of 1.  The factor is exact at s = 0,
+  lies between N / sum d (the mean Jacobi factor) and 1 on ordinary steps,
+  and falls like 1/s with the neighbouring modes, so a step of dt = 1e300
+  still ends on BiCGSTAB; with 1 it takes thousands of iterations.  On
+  the pinned fig-fe-3d-DM no-flux run, N / sum d took 205 Krylov
+  iterations and 1 / (1 + s lam_1) takes 147.
 - M^-1 r is a Jacobi sweep z = r / d, the correction z += w F(r - A z)
   with w = min(1, f / mean f), and another Jacobi sweep.  Near-empty
   cells, where the drift the model leaves out dominates, are left to the
@@ -347,15 +352,18 @@ class _NewtonSystem:
             lam, self._q = np.linalg.eigh(grad.T @ grad)
             self._lam = lam[:, None, None] + lam[:, None] + lam
 
-    def _separable_inverse(self, s: float, c0: float) -> Callable[[np.ndarray], np.ndarray]:
-        """x -> (I + s K)^-1 x, with c0 in place of 1 on the constant mode.
+    def _separable_inverse(self, s: float) -> Callable[[np.ndarray], np.ndarray]:
+        """x -> (I + s K)^-1 x, with 1 / (1 + s lam_1) in place of 1 on the constant mode.
 
         K = T(x)I(x)I + I(x)T(x)I + I(x)I(x)T is the graph Laplacian of the
-        3D face list; it is diagonal in the basis Q(x)Q(x)Q.
+        3D face list; it is diagonal in the basis Q(x)Q(x)Q.  lam_1 is the
+        smallest nonzero eigenvalue of T: the constant mode is scaled like
+        the slowest of the other modes.
         """
         q, n = self._q, self._disc.grid.n_cells
         scale = 1.0 / (1.0 + s * self._lam)
-        scale[0, 0, 0] = c0  # eigh sorts lam ascending: entry 0 is the constant mode
+        # eigh sorts lam ascending: entry 0 is the constant mode, entry 1 lam_1's.
+        scale[0, 0, 0] = scale[1, 0, 0]
 
         def apply(x: np.ndarray) -> np.ndarray:
             y = (q.T @ x.reshape(n, n * n)).reshape(n, n, n)
@@ -369,10 +377,9 @@ class _NewtonSystem:
         """M^-1 r: a Jacobi sweep, a density-weighted separable correction, a Jacobi sweep."""
         n_total, n_faces = self._disc.grid.n_total, len(self._disc.l_idx)
         d = jac.diagonal()
-        total = float(d.sum())
         # Every column of A sums to 1, so (sum d - N) / (2 faces) is the mean
         # off-diagonal magnitude; damped iterates can make it negative.
-        fd = self._separable_inverse(max(0.0, (total - n_total) / (2 * n_faces)), n_total / total)
+        fd = self._separable_inverse(max(0.0, (float(d.sum()) - n_total) / (2 * n_faces)))
         w = np.minimum(1.0, f / f.mean())
 
         def apply(r: np.ndarray) -> np.ndarray:

@@ -656,7 +656,16 @@ def _coarse_3d_single_run():
     return run(f0, build_parameter_set(3, "D:single", 8), SolverConfig(t_final=0.2, n_steps=4))
 
 
-@pytest.mark.parametrize("coarse_run", [_coarse_3d_run, _coarse_3d_single_run])
+def _coarse_3d_floored_single_run():
+    # The same run with the Gaussian's tail lifted to 1e-10 of its peak.
+    grid = build_grid(3, 8, Boundary.PERIODIC)
+    f0 = gaussian_start(grid, variance=0.04, floor_rel=1e-10)
+    return run(f0, build_parameter_set(3, "D:single", 8), SolverConfig(t_final=0.2, n_steps=4))
+
+
+@pytest.mark.parametrize(
+    "coarse_run", [_coarse_3d_run, _coarse_3d_single_run, _coarse_3d_floored_single_run]
+)
 def test_3d_newton_systems_are_solved_by_bicgstab(monkeypatch, coarse_run):
     counts = {}
     _count_calls(monkeypatch, "splu", counts)
@@ -670,6 +679,27 @@ def test_3d_newton_systems_are_solved_by_bicgstab(monkeypatch, coarse_run):
     assert updates >= 5
     assert counts.get("splu", 0) == 0
     assert counts["bicgstab"] >= updates
+
+
+def test_3d_krylov_iterations_stay_within_budget(monkeypatch):
+    # The pinned no-flux fig-fe-3d-DM run: 205 Krylov iterations with N / sum d
+    # on the constant mode of the preconditioner, 147 with 1 / (1 + s lam_1).
+    counts = {"iterations": 0}
+    _count_calls(monkeypatch, "splu", counts)
+    inner = solver_mod.bicgstab
+
+    def counted(*args, **kwargs):
+        def callback(_xk):
+            counts["iterations"] += 1
+
+        return inner(*args, callback=callback, **kwargs)
+
+    monkeypatch.setattr(solver_mod, "bicgstab", counted)
+    _grid, pset, f0, config = materialize("fig-fe-3d-DM", Boundary.NOFLUX)
+    _final, trace = run(f0, pset, config)
+    trace.validate()
+    assert counts.get("splu", 0) == 0
+    assert 0 < counts["iterations"] <= 170
 
 
 @pytest.mark.parametrize("dim, n_cells", [(1, 24), (2, 12), (3, 8)])
@@ -827,15 +857,28 @@ def test_separable_inverse_matches_a_dense_solve(n_cells, boundary):
     grad[faces, disc.l_idx] = 1.0
     grad[faces, disc.r_idx] = -1.0
     laplacian = grad.T @ grad
+    # The smallest nonzero eigenvalue of K is that of one axis, lam_1.
+    lam1 = np.linalg.eigvalsh(laplacian)[1]
     x = np.random.default_rng(n_cells).standard_normal((3, n))
     system = solver_mod._NewtonSystem(disc)
-    for s, c0 in [(0.0, 1.0), (0.0, 0.25), (0.37, 1.0), (0.37, 0.03), (40.0, 2.5)]:
-        apply = system._separable_inverse(s, c0)
+    for s in (0.0, 0.37, 40.0):
+        apply = system._separable_inverse(s)
         for v in x:
             # The constant vector is an eigenvector of I + sK with eigenvalue
-            # 1; its component is scaled by c0 instead.
-            expected = np.linalg.solve(np.eye(n) + s * laplacian, v) + (c0 - 1.0) * v.mean()
+            # 1; its component is scaled by 1 / (1 + s lam_1) instead.
+            expected = np.linalg.solve(np.eye(n) + s * laplacian, v) + (
+                1.0 / (1.0 + s * lam1) - 1.0
+            ) * v.mean()
             np.testing.assert_allclose(apply(v), expected, rtol=0.0, atol=1e-12)
+    # A step of dt ~ 1e300 gives s ~ 1e300: every mode, the constant one
+    # included, scales like 1/s, so s (I + sK)^-1 tends to K^+ plus the
+    # constant mode divided by lam_1.
+    s, pinv = 1e300, np.linalg.pinv(laplacian)
+    apply = system._separable_inverse(s)
+    for v in x:
+        out = apply(v)
+        assert np.all(np.isfinite(out))
+        np.testing.assert_allclose(s * out, pinv @ v + v.mean() / lam1, rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("boundary", [Boundary.PERIODIC, Boundary.NOFLUX])

@@ -1,4 +1,4 @@
-"""No module-level import in the package, the tests or the demos goes unread.
+"""No module-level import in the package, the tests, the demos or the tools goes unread.
 
 A name bound by a top-level ``import`` counts as read when the module
 loads it anywhere (attribute chains included) or lists it in ``__all__``.
@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-SCANNED = ("src/fpflow", "tests", "demos")
+SCANNED = ("src/fpflow", "tests", "demos", "tools")
 
 
 def _bound_names(node: ast.stmt):
