@@ -360,12 +360,12 @@ def cmd_verify(level: str) -> int:
     with checks.fresh_runs():
         for name, check in registry:
             try:
-                check()
+                detail = check()
             except Exception as exc:  # noqa: BLE001 - report every failure mode
                 failures.append(name)
                 print(f"FAIL {name}: {exc}")
             else:
-                print(f"PASS {name}")
+                print(f"PASS {name}" + (f" ({detail})" if detail else ""))
     print(f"verify[{level}]: {len(registry) - len(failures)}/{len(registry)} checks passed")
     if failures:
         print("failing: " + ", ".join(failures))

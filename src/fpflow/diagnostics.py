@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .grid import Boundary, FaceField, ScalarField
-from .params import Discretization, ParameterSet
+from .params import Discretization, ParameterSet, _checked
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from .equilibrium import EquilibriumState
@@ -87,6 +87,11 @@ class CKPReport:
 def _require_positive(values: np.ndarray, what: str) -> None:
     if np.any(values <= 0.0):
         raise ValueError(f"{what} requires a strictly positive density")
+
+
+def _finite(values, what: str) -> np.ndarray:
+    """Analytic derivative values on the grid, stacked into one array and checked finite."""
+    return _checked(np.asarray(values), what, positive=False)
 
 
 def free_energy(f: ScalarField, params: ParameterSet) -> float:
@@ -266,9 +271,9 @@ def second_derivative_identity(
     _require_positive(f.values, "second_derivative_identity")
     fv = f.values
     logf = np.log(fv)
-    phi_grad = params.potential.gradient_on_grid(grid)
-    phi_hess = params.potential.hessian_on_grid(grid)
-    D_grad = params.diffusion.gradient_on_grid(grid)
+    phi_grad = _finite(params.potential.gradient_on_grid(grid), "potential gradient")
+    phi_hess = _finite(params.potential.hessian_on_grid(grid), "potential Hessian")
+    D_grad = _finite(params.diffusion.gradient_on_grid(grid), "diffusion gradient")
 
     dim = grid.dim
     u = _face_velocity(disc, fv, pi)
@@ -309,8 +314,8 @@ def second_derivative_identity(
         rhs += 2.0 * qsum(logf / D * u_dot_gradD * u_dot_gradphi * fv)
 
     if regime is Regime.VARIABLE_MOBILITY:
-        pi_t = params.mobility.time_derivative_on_grid(grid, t)
-        pi_grad = params.mobility.gradient_on_grid(grid, t)
+        pi_t = _finite(params.mobility.time_derivative_on_grid(grid, t), "mobility time derivative")
+        pi_grad = _finite(params.mobility.gradient_on_grid(grid, t), "mobility gradient")
         u_dot_gradpi = dot(ubar, pi_grad)
         # ((grad u) u)_d = sum_e u_e d(u_d)/d(x_e)
         conv = [dot(ubar, du[d]) for d in range(dim)]

@@ -169,15 +169,13 @@ def refined_functional(
 ) -> float:
     """Evaluate a functional of an analytic density on a refined grid.
 
+    ``functional`` is ``"mass"``, ``"free_energy"`` or ``"dissipation"``.
     ``f_analytic`` takes one coordinate array per dimension and broadcasts.
     ``refine`` multiplies the cell count per axis; refine = 1 reproduces
     the base-grid quadrature, larger values give near-exact references for
     convergence tests of the midpoint discretization.
     """
-    key = functional.lower().replace("-", "_").replace(" ", "_")
-    if key == "freeenergy":
-        key = "free_energy"
-    if key not in _FUNCTIONALS:
+    if functional not in _FUNCTIONALS:
         raise ValueError(f"functional must be one of {_FUNCTIONALS}, got {functional!r}")
     if refine < 1:
         raise ValueError(f"refine must be a positive integer, got {refine}")
@@ -187,8 +185,8 @@ def refined_functional(
         np.asarray(f_analytic(*coords), dtype=float), fine.shape
     ).copy()
     fld = ScalarField(fine, values)
-    if key == "mass":
+    if functional == "mass":
         return integrate(fld)
-    if key == "free_energy":
+    if functional == "free_energy":
         return free_energy(fld, params)
     return dissipation(fld, params, t)

@@ -208,6 +208,9 @@ class EnergyTrace:
 
     def validate(self) -> None:
         """Check the structural trace invariants; raise ValueError if violated."""
+        for column in _TRACE_COLUMNS:
+            if not np.all(np.isfinite(getattr(self, column))):
+                raise ValueError(f"trace column {column} has a non-finite entry")
         if len(self.t) and np.any(np.diff(self.t) <= 0.0):
             raise ValueError("trace times must be strictly increasing")
         if len(self.t) and np.max(np.abs(self.mass - self.mass[0])) > 1e-11:

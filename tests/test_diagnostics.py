@@ -6,6 +6,8 @@ entropy bound must hold on arbitrary positive densities, and the rate
 fitter must reproduce synthetic exponentials exactly.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -35,7 +37,7 @@ from fpflow import (
     second_derivative_identity,
     velocity,
 )
-from tests.conftest import build_parameter_set
+from fpflow.params import build_parameter_set
 
 
 def random_density(grid, seed):
@@ -275,6 +277,24 @@ def test_identity_enforces_regime_assumptions():
         second_derivative_identity(f, varying_pi, 0.2, Regime.HOMOGENEOUS, rows)
     with pytest.raises(ValueError, match="unit mobility"):
         second_derivative_identity(f, varying_pi, 0.2, Regime.INHOMOGENEOUS_D, rows)
+
+
+@pytest.mark.parametrize("field, derivative, broken", [
+    ("potential", "gradient", "potential gradient"),
+    ("potential", "hessian", "potential Hessian"),
+    ("diffusion", "gradient", "diffusion gradient"),
+    ("mobility", "gradient", "mobility gradient"),
+    ("mobility", "time_derivative", "mobility time derivative"),
+])
+def test_identity_names_a_non_finite_analytic_derivative(field, derivative, broken):
+    nan = lambda x, *rest: np.full_like(x, np.nan)  # noqa: E731
+    pset = build_parameter_set(1, "D:single", 30)
+    evaluator = {"gradient": (nan,), "hessian": ((nan,),), "time_derivative": nan}[derivative]
+    pset = replace(pset, **{field: replace(getattr(pset, field), **{derivative: evaluator})})
+    f = random_density(build_grid(1, 30, Boundary.PERIODIC), 1)
+    rows = [(0.1, 1.0), (0.2, 0.9), (0.3, 0.85)]
+    with pytest.raises(ValueError, match=f"^{broken} must be finite on the grid$"):
+        second_derivative_identity(f, pset, 0.2, Regime.VARIABLE_MOBILITY, rows)
 
 
 @pytest.mark.parametrize("dim", [1, 2])

@@ -17,7 +17,7 @@ from fpflow import (
     integrate,
     solve_normalization,
 )
-from tests.conftest import build_parameter_set
+from fpflow.params import build_parameter_set
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])

@@ -22,7 +22,7 @@ from fpflow import (
     integrate,
 )
 from fpflow.grid import adjacent_cell_values, embed_interior_faces
-from tests.conftest import build_parameter_set
+from fpflow.params import build_parameter_set
 
 ALL_BOUNDARIES = (Boundary.PERIODIC, Boundary.NOFLUX)
 

@@ -25,7 +25,7 @@ from fpflow import (
     reference_evolve,
     refined_functional,
 )
-from tests.conftest import build_parameter_set
+from fpflow.params import build_parameter_set
 
 
 def flat_potential():
@@ -238,13 +238,14 @@ def test_refined_functional_validation():
         refined_functional(pset, "mass", lambda x: np.ones_like(x), 0, grid)
 
 
-def test_refined_functional_accepts_name_aliases():
+def test_refined_functional_rejects_name_aliases():
     grid = build_grid(1, 12, Boundary.PERIODIC)
     pset = linear_problem(12)
     f = lambda x: 1.0 + 0.2 * np.cos(np.pi * x)
-    base = refined_functional(pset, "free_energy", f, 1, grid)
-    assert refined_functional(pset, "Free-Energy", f, 1, grid) == base
-    assert refined_functional(pset, "freeenergy", f, 1, grid) == base
+    assert np.isfinite(refined_functional(pset, "free_energy", f, 1, grid))
+    for alias in ("Free-Energy", "freeenergy", "free energy", "MASS"):
+        with pytest.raises(ValueError, match="functional"):
+            refined_functional(pset, alias, f, 1, grid)
 
 
 def test_refined_functional_refine_one_matches_base_grid():

@@ -37,12 +37,12 @@ from fpflow.params import (
     _MOBILITIES,
     _POTENTIALS,
     ParameterSet,
+    build_parameter_set,
     get_diffusion,
     get_initial_condition,
     get_mobility,
     get_potential,
 )
-from tests.conftest import build_parameter_set
 
 FD_STEP = 1e-6
 FD_TOL = 5e-8

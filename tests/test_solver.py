@@ -8,6 +8,7 @@ round-off even with spatially varying diffusion.
 """
 
 import io
+import itertools
 import re
 import sys
 import warnings
@@ -37,10 +38,10 @@ from fpflow import (
     preset_gaussian_ic,
     run,
 )
-from fpflow.params import get_mobility
+from fpflow.checks import materialize, pinned_keys, pinned_run
+from fpflow.params import build_parameter_set, get_mobility
 from fpflow.grid import face_divergence
 from fpflow.solver import _bernoulli_pair, _bernoulli_slopes
-from tests.conftest import all_preset_keys, build_parameter_set, materialize
 
 
 def gaussian_start(grid, variance=0.05, floor_rel=1e-10):
@@ -133,6 +134,14 @@ def test_trace_validate_catches_violations():
             t=good.t, mass=good.mass, F=good.F, F_rel=good.F_rel,
             D_dis=good.D_dis, f_min=np.zeros(len(good)), f_max=good.f_max,
         ).validate()
+    csv = "t,mass,F,F_rel,D_dis,f_min,f_max\n0,1,1,1,1,1,1\nnan,nan,nan,nan,nan,nan,nan\n"
+    with pytest.raises(ValueError, match="non-finite"):
+        EnergyTrace.from_csv(io.StringIO(csv)).validate()
+    for column, bad in itertools.product(solver_mod._TRACE_COLUMNS, (np.nan, np.inf)):
+        values = getattr(good, column).copy()
+        values[-1] = bad
+        with pytest.raises(ValueError, match=f"column {column} has a non-finite"):
+            replace(good, **{column: values}).validate()
 
 
 def test_trace_csv_round_trip_is_bit_exact(tmp_path):
@@ -572,14 +581,14 @@ def test_run_converges_with_a_tolerance_below_roundoff(n_cells, boundary, diffus
     assert np.all(np.diff(trace.F) < 0.0)
 
 
-def test_pinned_1d_and_2d_runs_keep_mass_at_roundoff(preset_run):
+def test_pinned_1d_and_2d_runs_keep_mass_at_roundoff(shared_runs):
     # The sparse-LU update carries its right-hand side's mass only up to
     # the factorization's rounding; the density-weighted shift restores it
     # exactly.  Without the shift, the linear D:homogeneous runs (one
     # Newton update per step) drift by 2e-14 to 4e-14.
-    for dim, diff, bc in all_preset_keys():
+    for dim, diff, bc in pinned_keys():
         if dim < 3:
-            mass = preset_run(dim, diff, bc).trace.mass
+            mass = pinned_run(dim, diff, bc).trace.mass
             assert np.max(np.abs(mass - mass[0])) <= 1e-14, (dim, diff, bc)
 
 
