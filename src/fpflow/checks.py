@@ -2,11 +2,13 @@
 
 Each check is a zero-argument callable that returns on success, with a
 one-line detail or None, and raises (an ``AssertionError`` with a
-one-line message, normally) on failure.  ``FAST`` holds the 16 checks
-``fpflow verify`` runs by default; ``verify full`` adds the 15 slower
-ones in ``FULL``: four multi-dimensional and refinement checks and the
-acceptance criteria 01-11.  The test suite runs the same callables, one
-pytest item per check.
+one-line message, normally) on failure.  Checks fail through
+:func:`_require`, not ``assert``, so they hold under ``python -O`` too.
+``FAST`` holds the 16 checks ``fpflow verify`` runs by default;
+``verify full`` adds the 15 slower ones in ``FULL``: four
+multi-dimensional and refinement checks and the acceptance criteria
+01-11.  The test suite runs the same callables, one pytest item per
+check.
 
 The state-evolution checks read shared runs: one 1D reference run per
 (boundary, diffusion), and the 18 pinned figure runs with their 18
@@ -34,6 +36,13 @@ from .equilibrium import equilibrium_state
 from .grid import Boundary, ScalarField, build_grid, face_divergence, face_gradient, integrate
 from .params import ParameterSet, build_parameter_set
 from .solver import EnergyTrace, SolverConfig, run
+
+
+def _require(condition, detail: str) -> None:
+    """Fail the check with ``detail`` unless ``condition`` holds; ``python -O`` keeps it."""
+    if not condition:
+        raise AssertionError(detail)
+
 
 # The shared runs of each open fresh_runs() scope, innermost last.
 _scopes: list[dict] = []
@@ -177,7 +186,7 @@ def _chk_grid_telescoping() -> None:
         grid = build_grid(1, 64, bc)
         f = ScalarField(grid, 1.0 + rng.random(grid.shape))
         total = grid.cell_volume * float(np.sum(face_divergence(face_gradient(f))))
-        assert abs(total) <= 1e-12, f"divergence sum {total:.3e} under {bc.value}"
+        _require(abs(total) <= 1e-12, f"divergence sum {total:.3e} under {bc.value}")
 
 
 def _chk_integrate_linearity() -> None:
@@ -187,7 +196,7 @@ def _chk_integrate_linearity() -> None:
     b = rng.random(grid.shape)
     lhs = integrate(ScalarField(grid, 2.5 * a - 0.75 * b))
     rhs = 2.5 * integrate(ScalarField(grid, a)) - 0.75 * integrate(ScalarField(grid, b))
-    assert abs(lhs - rhs) <= 1e-12, f"linearity defect {abs(lhs - rhs):.3e}"
+    _require(abs(lhs - rhs) <= 1e-12, f"linearity defect {abs(lhs - rhs):.3e}")
 
 
 def _chk_gradient_convergence() -> None:
@@ -199,7 +208,7 @@ def _chk_gradient_convergence() -> None:
         xf = -1.0 + np.arange(n) * grid.h
         errs.append(float(np.max(np.abs(g - np.pi * np.cos(np.pi * xf)))))
     ratio = errs[0] / errs[1]
-    assert ratio >= 1.8, f"gradient error ratio {ratio:.2f} under refinement"
+    _require(ratio >= 1.8, f"gradient error ratio {ratio:.2f} under refinement")
 
 
 def _chk_preset_gradients() -> None:
@@ -212,14 +221,14 @@ def _chk_preset_gradients() -> None:
     ):
         fd = (f(xs + step) - f(xs - step)) / (2 * step)
         err = float(np.max(np.abs(fd - g(xs))))
-        assert err <= 1e-5, f"{label} gradient mismatch {err:.3e}"
+        _require(err <= 1e-5, f"{label} gradient mismatch {err:.3e}")
     t = 0.4
     fd = (pset.mobility.evaluate(xs + step, t) - pset.mobility.evaluate(xs - step, t)) / (2 * step)
     err = float(np.max(np.abs(fd - pset.mobility.gradient[0](xs, t))))
-    assert err <= 1e-5, f"mobility gradient mismatch {err:.3e}"
+    _require(err <= 1e-5, f"mobility gradient mismatch {err:.3e}")
     fd_t = (pset.mobility.evaluate(xs, t + step) - pset.mobility.evaluate(xs, t - step)) / (2 * step)
     err = float(np.max(np.abs(fd_t - pset.mobility.time_derivative(xs, t))))
-    assert err <= 1e-4, f"mobility time-derivative mismatch {err:.3e}"
+    _require(err <= 1e-4, f"mobility time-derivative mismatch {err:.3e}")
 
 
 def _chk_equilibrium_residual() -> None:
@@ -227,10 +236,10 @@ def _chk_equilibrium_residual() -> None:
     pset = build_parameter_set(1, "D:single", 128)
     eq = equilibrium_state(pset, grid)
     mass = integrate(eq.density)
-    assert abs(mass - 1.0) <= 1e-12, f"equilibrium mass defect {abs(mass - 1):.3e}"
+    _require(abs(mass - 1.0) <= 1e-12, f"equilibrium mass defect {abs(mass - 1):.3e}")
     disc = pset.discretize(grid)
     resid = float(np.max(np.abs(disc.D * np.log(eq.density.values) + disc.phi - eq.c1)))
-    assert resid <= 1e-12, f"equilibrium cell residual {resid:.3e}"
+    _require(resid <= 1e-12, f"equilibrium cell residual {resid:.3e}")
 
 
 def _chk_equilibrium_stationarity() -> None:
@@ -240,28 +249,28 @@ def _chk_equilibrium_stationarity() -> None:
     _final, trace = run(eq.density, pset, SolverConfig(t_final=0.5, n_steps=10))
     worst_f = float(np.max(np.abs(trace.F_rel)))
     worst_d = float(np.max(trace.D_dis))
-    assert worst_f <= 1e-10, f"free-energy gap {worst_f:.3e} from equilibrium start"
-    assert worst_d <= 1e-10, f"dissipation {worst_d:.3e} from equilibrium start"
+    _require(worst_f <= 1e-10, f"free-energy gap {worst_f:.3e} from equilibrium start")
+    _require(worst_d <= 1e-10, f"dissipation {worst_d:.3e} from equilibrium start")
 
 
 def _chk_mass_conservation() -> None:
     for bc in (Boundary.PERIODIC, Boundary.NOFLUX):
         trace = _workhorse(bc, "D:single")[5]
         drift = float(np.max(np.abs(trace.mass - trace.mass[0])))
-        assert drift <= 1e-11, f"mass drift {drift:.3e} under {bc.value}"
+        _require(drift <= 1e-11, f"mass drift {drift:.3e} under {bc.value}")
 
 
 def _chk_positivity() -> None:
     for bc in (Boundary.PERIODIC, Boundary.NOFLUX):
         trace = _workhorse(bc, "D:single")[5]
-        assert np.all(trace.f_min > 0.0), f"nonpositive density under {bc.value}"
+        _require(np.all(trace.f_min > 0.0), f"nonpositive density under {bc.value}")
 
 
 def _chk_energy_decay() -> None:
     for bc in (Boundary.PERIODIC, Boundary.NOFLUX):
         trace = _workhorse(bc, "D:single")[5]
         worst = float(np.max(np.diff(trace.F)))
-        assert worst <= 10 * 1e-10, f"energy increased by {worst:.3e} under {bc.value}"
+        _require(worst <= 10 * 1e-10, f"energy increased by {worst:.3e} under {bc.value}")
 
 
 def _chk_ckp() -> None:
@@ -271,7 +280,7 @@ def _chk_ckp() -> None:
     eq = equilibrium_state(pset, grid)
     for f in (f0,) + snapshots:
         report = diagnostics.ckp_check(f, eq)
-        assert report.holds, f"CKP violated: l1^2={report.l1 ** 2:.3e} > {report.bound:.3e}"
+        _require(report.holds, f"CKP violated: l1^2={report.l1 ** 2:.3e} > {report.bound:.3e}")
 
 
 def _chk_max_principle() -> None:
@@ -284,7 +293,7 @@ def _chk_max_principle() -> None:
     for f in snapshots:
         below = float(np.max(lower.values * (1 - slack) - f.values))
         above = float(np.max(f.values - upper.values * (1 + slack)))
-        assert below <= 0 and above <= 0, "variable-D envelope violated"
+        _require(below <= 0 and above <= 0, "variable-D envelope violated")
     # Constant diffusion: the conjugated scheme obeys the comparison
     # principle exactly, so the envelope holds to round-off.
     grid, pset, f0, _cfg, _final, _trace, snapshots = _workhorse(
@@ -295,25 +304,33 @@ def _chk_max_principle() -> None:
     for f in snapshots:
         below = float(np.max(lower.values - f.values))
         above = float(np.max(f.values - upper.values))
-        assert below <= 1e-10 and above <= 1e-10, (
-            f"constant-D envelope violated by {max(below, above):.3e}"
+        _require(
+            below <= 1e-10 and above <= 1e-10,
+            f"constant-D envelope violated by {max(below, above):.3e}",
         )
 
 
 def _chk_symmetry() -> None:
     final = _workhorse(Boundary.PERIODIC, "D:single")[4]
     asym = float(np.max(np.abs(final.values - np.flip(final.values))))
-    assert asym <= 1e-10, f"even-data symmetry broken by {asym:.3e}"
+    _require(asym <= 1e-10, f"even-data symmetry broken by {asym:.3e}")
+
+
+@_shared
+def _oracle_case():
+    """The linear 1D case both oracle checks read: its operator, f0 and 100-step implicit run."""
+    grid = build_grid(1, 32, Boundary.PERIODIC)
+    pset = build_parameter_set(1, "D:homogeneous", 32, mobility_ref="pi:unit")
+    f0 = params_mod.get_initial_condition("ic:gauss", 1).build(grid)
+    implicit, _ = run(f0, pset, SolverConfig(t_final=0.1, n_steps=100))
+    return grid, pset, oracle.build_linear_operator(pset, grid), f0, implicit
 
 
 def _chk_oracle_equivalence() -> None:
-    grid = build_grid(1, 32, Boundary.PERIODIC)
-    pset = build_parameter_set(1, "D:homogeneous", 32, mobility_ref="pi:unit")
-    op = oracle.build_linear_operator(pset, grid)
+    grid, pset, op, f0, implicit = _oracle_case()
     eq = equilibrium_state(pset, grid)
     stat = float(np.max(np.abs(op.apply(eq.density.values))))
-    assert stat <= 1e-12, f"operator does not annihilate equilibrium: {stat:.3e}"
-    f0 = params_mod.preset_gaussian_ic(1).build(grid)
+    _require(stat <= 1e-12, f"operator does not annihilate equilibrium: {stat:.3e}")
     dt = 1e-3
     stepped = solver.backward_euler_step(
         f0, pset, dt, dt, SolverConfig(t_final=dt, n_steps=1)
@@ -322,11 +339,10 @@ def _chk_oracle_equivalence() -> None:
         np.eye(grid.n_total) - dt * op.matrix.toarray(), f0.values.ravel()
     ).reshape(grid.shape)
     gap = float(np.max(np.abs(stepped.values - dense)))
-    assert gap <= 1e-12, f"implicit step deviates from dense solve by {gap:.3e}"
-    implicit, _ = run(f0, pset, SolverConfig(t_final=0.1, n_steps=100))
+    _require(gap <= 1e-12, f"implicit step deviates from dense solve by {gap:.3e}")
     reference = oracle.reference_evolve(op, f0, 0.1, dt=1e-5)
     l1 = grid.cell_volume * float(np.sum(np.abs(implicit.values - reference.values)))
-    assert l1 <= 5e-3, f"implicit vs reference L1 gap {l1:.3e}"
+    _require(l1 <= 5e-3, f"implicit vs reference L1 gap {l1:.3e}")
 
 
 def _chk_oracle_heat_mode() -> None:
@@ -349,9 +365,9 @@ def _chk_oracle_heat_mode() -> None:
     mu = 2.0 / grid.h**2 * (1.0 - np.cos(np.pi * grid.h))
     ratio = (out.values - 0.5) / (f0.values - 0.5)
     err = float(np.max(np.abs(ratio - np.exp(-mu * 0.1))))
-    assert err <= 1e-10, f"heat-mode decay factor off by {err:.3e}"
+    _require(err <= 1e-10, f"heat-mode decay factor off by {err:.3e}")
     mass_gap = abs(integrate(out) - integrate(f0))
-    assert mass_gap <= 1e-12, f"reference evolve mass drift {mass_gap:.3e}"
+    _require(mass_gap <= 1e-12, f"reference evolve mass drift {mass_gap:.3e}")
 
 
 def _chk_decay_fit() -> None:
@@ -360,20 +376,20 @@ def _chk_decay_fit() -> None:
     ones = np.ones_like(t)
     trace = EnergyTrace(t=t, mass=ones, F=y, F_rel=y, D_dis=y, f_min=ones, f_max=ones)
     fit = fit_decay_rate(trace, "F_rel")
-    assert abs(fit.rate - 2.0) <= 1e-9, f"synthetic rate {fit.rate!r}"
-    assert fit.r_squared >= 1.0 - 1e-12, f"synthetic r^2 {fit.r_squared!r}"
+    _require(abs(fit.rate - 2.0) <= 1e-9, f"synthetic rate {fit.rate!r}")
+    _require(fit.r_squared >= 1.0 - 1e-12, f"synthetic r^2 {fit.r_squared!r}")
     scaled = EnergyTrace(
         t=t, mass=ones, F=y, F_rel=1e6 * y, D_dis=y, f_min=ones, f_max=ones
     )
     fit2 = fit_decay_rate(scaled, "F_rel")
-    assert abs(fit2.rate - fit.rate) <= 1e-9, "fit rate is not scale invariant"
+    _require(abs(fit2.rate - fit.rate) <= 1e-9, "fit rate is not scale invariant")
 
 
 def _chk_gronwall() -> None:
     value = diagnostics.gronwall_envelope(1.0, 1.0, 3.0, 0.5, 0.0)
-    assert abs(value - 3.0**-0.5) <= 1e-15, f"gronwall value {value!r}"
+    _require(abs(value - 3.0**-0.5) <= 1e-15, f"gronwall value {value!r}")
     later = diagnostics.gronwall_envelope(1.0, 1.0, 3.0, 0.5, 2.0)
-    assert later < value, "gronwall envelope is not decaying"
+    _require(later < value, "gronwall envelope is not decaying")
     try:
         diagnostics.gronwall_envelope(1.0, 1.0, 3.0, 1.0, 0.0)
     except ValueError:
@@ -392,8 +408,8 @@ def _chk_mass_2d() -> None:
         f0 = ic.build(grid)
         _final, trace = run(f0, pset, SolverConfig(t_final=0.4, n_steps=8))
         drift = float(np.max(np.abs(trace.mass - trace.mass[0])))
-        assert drift <= 1e-11, f"2D mass drift {drift:.3e} under {bc.value}"
-        assert np.all(np.diff(trace.F) <= 1e-9), "2D energy increased"
+        _require(drift <= 1e-11, f"2D mass drift {drift:.3e} under {bc.value}")
+        _require(np.all(np.diff(trace.F) <= 1e-9), "2D energy increased")
 
 
 def _chk_mass_3d() -> None:
@@ -402,8 +418,8 @@ def _chk_mass_3d() -> None:
     f0 = params_mod.preset_gaussian_ic(3, variance=0.04).build(grid)
     _final, trace = run(f0, pset, SolverConfig(t_final=0.2, n_steps=4))
     drift = float(np.max(np.abs(trace.mass - trace.mass[0])))
-    assert drift <= 1e-11, f"3D mass drift {drift:.3e}"
-    assert np.all(trace.f_min > 0.0), "3D positivity lost"
+    _require(drift <= 1e-11, f"3D mass drift {drift:.3e}")
+    _require(np.all(trace.f_min > 0.0), "3D positivity lost")
 
 
 def _chk_step_refinement() -> None:
@@ -416,7 +432,7 @@ def _chk_step_refinement() -> None:
     e8 = grid.cell_volume * float(np.sum(np.abs(finals[8].values - finals[256].values)))
     e16 = grid.cell_volume * float(np.sum(np.abs(finals[16].values - finals[256].values)))
     ratio = e8 / e16
-    assert 1.6 <= ratio <= 2.4, f"step-halving error ratio {ratio:.2f} (want ~2)"
+    _require(1.6 <= ratio <= 2.4, f"step-halving error ratio {ratio:.2f} (want ~2)")
 
 
 def _chk_refined_functional() -> None:
@@ -426,13 +442,13 @@ def _chk_refined_functional() -> None:
     gauss = lambda x: np.exp(-(x**2) / (2 * s2)) / np.sqrt(2 * np.pi * s2)  # noqa: E731
     coarse = oracle.refined_functional(pset, "mass", gauss, 1, grid)
     fine = oracle.refined_functional(pset, "mass", gauss, 8, grid)
-    assert abs(coarse - fine) <= 1e-4, f"mass quadrature gap {abs(coarse - fine):.3e}"
+    _require(abs(coarse - fine) <= 1e-4, f"mass quadrature gap {abs(coarse - fine):.3e}")
     half = lambda x: 0.5 * np.ones_like(np.asarray(x, dtype=float))  # noqa: E731
     fe = oracle.refined_functional(pset, "free_energy", half, 1, grid)
     # For f = 1/2: integral of D f (log f - 1) is (-log2 - 1), plus the
     # well's exact mean 9/8 halved; the midpoint rule is exact for both.
     want = (-np.log(2.0) - 1.0) + 0.5 * 2.25
-    assert abs(fe - want) <= 1e-13, f"constant-field free energy off by {abs(fe - want):.3e}"
+    _require(abs(fe - want) <= 1e-13, f"constant-field free energy off by {abs(fe - want):.3e}")
 
 
 # Acceptance criteria 01-11.  Each returns its one-line detail.
@@ -453,8 +469,8 @@ def _crit_mass_and_runtime() -> str:
         f"max |mass-1| = {worst_drift:.2e} at {worst_key}; slowest runs "
         f"1D {slowest[1]:.2f}s, 2D {slowest[2]:.2f}s, 3D {slowest[3]:.1f}s"
     )
-    assert worst_drift <= 1e-11, detail
-    assert all(slowest[d] < RUNTIME_BUDGET_SECONDS[d] for d in slowest), detail
+    _require(worst_drift <= 1e-11, detail)
+    _require(all(slowest[d] < RUNTIME_BUDGET_SECONDS[d] for d in slowest), detail)
     return detail
 
 
@@ -467,7 +483,7 @@ def _crit_energy_decay() -> str:
         if rise > worst_rise:
             worst_rise, worst_key = rise, (dim, diff, bc.value)
     detail = f"max step increase of F = {worst_rise:.2e} at {worst_key} (tol {tol:.0e})"
-    assert worst_rise <= tol, detail
+    _require(worst_rise <= tol, detail)
     return detail
 
 
@@ -479,7 +495,7 @@ def _crit_exponential_decay() -> str:
             if r2 < worst_r2:
                 worst_r2, worst_key = r2, (diff, bc.value)
     detail = f"min r^2 over six 1D panels = {worst_r2:.5f} at {worst_key}"
-    assert worst_r2 > 0.99, detail
+    _require(worst_r2 > 0.99, detail)
     return detail
 
 
@@ -488,7 +504,7 @@ def _crit_rate_ordering() -> str:
             for dim, diff in _pinned_presets() if dim == 1}
     hom, single, multi = rate["D:homogeneous"], rate["D:single"], rate["D:multi"]
     detail = f"rates: multi {multi:.3f} > hom {hom:.3f} > single {single:.3f}"
-    assert multi >= 1.05 * hom and hom >= 1.05 * single, detail
+    _require(multi >= 1.05 * hom and hom >= 1.05 * single, detail)
     return detail
 
 
@@ -506,7 +522,7 @@ def _crit_boundary_discrepancy() -> str:
     # The even-symmetric presets make both boundary stencils coincide, so
     # the discrepancy can already sit at round-off on the coarse grid; the
     # second branch accepts that fully-converged regime.
-    assert delta[80] <= 0.6 * delta[40] or max(delta.values()) <= 1e-4 * scale, detail
+    _require(delta[80] <= 0.6 * delta[40] or max(delta.values()) <= 1e-4 * scale, detail)
     return detail
 
 
@@ -522,23 +538,21 @@ def _crit_equilibrium_stationarity() -> str:
         f"50-step equilibrium starts: max |F_rel| = {worst_frel:.2e}, "
         f"max D_dis = {worst_ddis:.2e} (worst {worst_key})"
     )
-    assert worst_frel <= 1e-10 and worst_ddis <= 1e-10, detail
+    _require(worst_frel <= 1e-10 and worst_ddis <= 1e-10, detail)
     return detail
 
 
 def _crit_oracle_equivalence() -> str:
-    grid = build_grid(1, 32, Boundary.PERIODIC)
-    pset = build_parameter_set(1, "D:homogeneous", 32, mobility_ref="pi:unit")
-    f0 = params_mod.get_initial_condition("ic:gauss", 1).build(grid)
-    op = oracle.build_linear_operator(pset, grid)
+    grid, pset, op, f0, implicit = _oracle_case()
     reference = oracle.reference_evolve(op, f0, t_end=0.1, dt=1e-6).values
-    errors = {}
-    for n_steps in (100, 200):
-        final, _ = run(f0, pset, SolverConfig(t_final=0.1, n_steps=n_steps))
-        errors[n_steps] = grid.cell_volume * float(np.sum(np.abs(final.values - reference)))
+    final, _ = run(f0, pset, SolverConfig(t_final=0.1, n_steps=200))
+    errors = {
+        n_steps: grid.cell_volume * float(np.sum(np.abs(f.values - reference)))
+        for n_steps, f in ((100, implicit), (200, final))
+    }
     ratio = errors[200] / errors[100]
     detail = f"L1 vs reference at t=0.1: {errors[100]:.2e} (dt 1e-3), halving ratio {ratio:.3f}"
-    assert errors[100] <= 5e-3 and 0.4 <= ratio <= 0.6, detail
+    _require(errors[100] <= 5e-3 and 0.4 <= ratio <= 0.6, detail)
     return detail
 
 
@@ -559,7 +573,7 @@ def _crit_max_principle() -> str:
         f"worst violation-minus-5h = {worst_margin:.2e}; "
         f"constant-D worst violation = {worst_const:.2e}"
     )
-    assert worst_margin <= 0.0 and worst_const <= 1e-10, detail
+    _require(worst_margin <= 0.0 and worst_const <= 1e-10, detail)
     return detail
 
 
@@ -571,7 +585,7 @@ def _crit_ckp() -> str:
     ]
     worst = max(report.l1**2 - report.bound for report in reports)
     detail = f"max l1^2 - bound over all snapshots = {worst:.2e}"
-    assert all(report.holds for report in reports), detail
+    _require(all(report.holds for report in reports), detail)
     return detail
 
 
@@ -582,7 +596,7 @@ def _crit_identity_ladder() -> str:
         ok &= all(a > b for a, b in zip(residuals, residuals[1:]))
         parts.append(f"{regime.value}: " + " > ".join(f"{r:.2e}" for r in residuals))
     detail = "; ".join(parts)
-    assert ok, detail
+    _require(ok, detail)
     return detail
 
 
@@ -594,7 +608,7 @@ def _crit_dissipation_decay() -> str:
         f"window [{fit.window[0]:.2f}, {fit.window[1]:.2f}], n {fit.n_points}"
     )
     # Convexity constant 1 => theoretical floor 2, tested with 30% slack.
-    assert fit.rate >= 1.4 and fit.r_squared > 0.99, detail
+    _require(fit.rate >= 1.4 and fit.r_squared > 0.99, detail)
     return detail
 
 

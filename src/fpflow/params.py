@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from .grid import FaceField, ScalarField, TensorGrid, adjacent_cell_values, embed_interior_faces
 
@@ -158,8 +159,12 @@ class Discretization:
 
     It also lists the backward-Euler Newton Jacobian, the one place that
     does: the sparsity pattern is built once, in CSC form (``jac_indptr``,
-    ``jac_indices``, rows sorted in each column), and
-    :meth:`jacobian_values` fills it from the faces' flux derivatives.
+    ``jac_indices``, rows sorted in each column), with the slots of the
+    diagonal (``jac_diagonal``) and the permutation that reads the values
+    in CSR order (``jac_transpose``: the pattern is structurally
+    symmetric, so CSR of the matrix is the same pattern).
+    :meth:`jacobian_values` fills it from the faces' flux derivatives by
+    one mat-vec of a sparse assembly operator built with the pattern.
     """
 
     def __init__(self, grid: TensorGrid, params: ParameterSet):
@@ -181,22 +186,44 @@ class Discretization:
         self.dphi = _read_only(phi[R] - phi[L])
         self.dD = _read_only(D[R] - D[L])
         self.Dbar = _read_only(self.face_mean(self.D))
-        # Jacobian COO entries in jacobian_values' order: the diagonal, then
-        # (L, L), (L, R), (R, L), (R, R) of every face.
-        rows = np.concatenate((cells, L, L, R, R))
-        cols = np.concatenate((cells, L, R, L, R))
+        # Jacobian COO entries: the diagonal, then (L, L), (L, R), (R, L),
+        # (R, R) of every face.
+        keys = np.concatenate((cells, L, R, L, R)) * n + np.concatenate((cells, L, L, R, R))
         # One stable sort gives what np.unique(..., return_inverse=True)
-        # gives, without that call's set-up transient in peak memory.
-        keys = cols * n + rows
+        # gives, without that call's set-up transient in peak memory, and
+        # lists each slot's entries in COO order.
         order = np.argsort(keys, kind="stable")
         keys = keys[order]
         first = np.r_[True, keys[1:] != keys[:-1]]
         slot = np.empty_like(order)
         slot[order] = np.cumsum(first) - 1
         keys = keys[first]
-        self.jac_indptr = _read_only(np.searchsorted(keys, np.arange(n + 1) * n))
-        self.jac_indices = _read_only(keys % n)
-        self._jac_slot = _read_only(slot)
+        # scipy's index type where it fits, so the matrices built on the
+        # pattern share these arrays instead of checking and copying them.
+        index = np.int32 if order.size <= np.iinfo(np.int32).max else np.int64
+        self.jac_indptr = _read_only(np.searchsorted(keys, np.arange(n + 1) * n).astype(index))
+        self.jac_indices = _read_only((keys % n).astype(index))
+        self.jac_diagonal = _read_only(slot[:n].copy())
+        # The pattern is structurally symmetric, so A's CSR values are its
+        # CSC values at the mirrored slots: an (L, R) entry mirrors the
+        # (R, L) entry of its face, a diagonal entry itself.
+        n_faces = L.size
+        lr, rl = slot[n + n_faces:n + 2 * n_faces], slot[n + 2 * n_faces:n + 3 * n_faces]
+        mirror = np.empty_like(keys)
+        mirror[self.jac_diagonal] = self.jac_diagonal
+        mirror[lr], mirror[rl] = rl, lr
+        self.jac_transpose = _read_only(mirror)
+        # Row k sums the entries of slot k, in COO order, from
+        # x = (1, c dJ/df_L, c dJ/df_R): the diagonal's 1, then +x for the
+        # face blocks (L, L), (L, R) and -x for (R, L), (R, R).
+        entry = order - n
+        cols = entry % (2 * n_faces) + 1
+        cols[entry < 0] = 0
+        self._jac_assembly = sp.csr_matrix(
+            (np.where(entry < 2 * n_faces, 1.0, -1.0), cols.astype(index),
+             np.r_[np.flatnonzero(first), order.size].astype(index)),
+            shape=(keys.size, 1 + 2 * n_faces),
+        )
 
     def divergence(self, face_values: np.ndarray) -> np.ndarray:
         """Cell-wise divergence of values on the face list: +J/h into L, -J/h into R."""
@@ -234,12 +261,16 @@ class Discretization:
 
         ``dj_l`` and ``dj_r`` are the faces' dJ/df_L and dJ/df_R and ``c``
         is dt / h.  The face flux enters cell L's divergence with + and
-        cell R's with -.  One ``np.bincount`` sums the COO values into
-        their slots, which gives the bits of a COO-to-CSC conversion.
+        cell R's with -.  One mat-vec of the assembly operator adds each
+        slot's entries from zero in COO order, which gives the bits of a
+        COO-to-CSC conversion.
         """
-        jl, jr = c * dj_l, c * dj_r
-        values = np.concatenate((np.ones(self.grid.n_total), jl, jr, -jl, -jr))
-        return np.bincount(self._jac_slot, weights=values, minlength=len(self.jac_indices))
+        n_faces = self.l_idx.size
+        x = np.empty(1 + 2 * n_faces)
+        x[0] = 1.0
+        np.multiply(c, dj_l, out=x[1:1 + n_faces])
+        np.multiply(c, dj_r, out=x[1 + n_faces:])
+        return self._jac_assembly @ x
 
     def pi(self, t: float) -> np.ndarray:
         """Cell values of the mobility at time t, evaluated and checked at each call."""

@@ -111,10 +111,17 @@ the mass of f_old to round-off whatever the linear solver's accuracy.
 The :class:`~fpflow.params.Discretization` lists every interior face
 once: the flux and dJ/df_L, dJ/df_R gather cell values through each
 face's two cell indices, and the residual scatters J back to the cells.
-It also lists the Jacobian: it builds the sparsity pattern once and
-fills it from dJ/df.  The face coefficient Dbar / (pibar h) depends on
-the step's time alone, so each step evaluates the mobility once and
-forms it once, before its first Newton iteration.  Each flux evaluation
+It also lists the Jacobian: it builds the CSC sparsity pattern once and
+fills it from dJ/df by one mat-vec of a sparse assembly operator, which
+adds each slot's entries in the order a COO-to-CSC conversion would,
+into one new array per update.  In 3D BiCGSTAB, its preconditioner and
+rho multiply by the same matrix in CSR form (its values permuted onto the
+structurally symmetric pattern), whose rows add their terms in the CSC
+mat-vec's order, so the bits are the same and each mat-vec is faster;
+SuperLU and the reuse test below keep the CSC matrix.  The face
+coefficient Dbar / (pibar h) depends on the step's time alone, so each
+step evaluates the mobility once and forms it once, before its first
+Newton iteration.  Each flux evaluation
 keeps the face terms the derivatives reuse, and dJ/df is formed only
 after the residual test has failed, for the update that follows: the
 iteration that stops forms none.  One :func:`run` (or one
@@ -275,8 +282,11 @@ def _bernoulli_slopes(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndar
     below t = 5e-3 the Taylor series (off by t^5/5040) takes over.
     """
     t = np.abs(a)
-    with np.errstate(invalid="ignore"):
-        d = np.where(t < 5e-3, -0.5 + t / 6.0 - t**3 / 180.0, b * (1.0 - b - t) / t)
+    with np.errstate(invalid="ignore"):  # 0 / 0 at t = 0, overwritten below
+        d = b * (1.0 - b - t) / t
+    small = t < 5e-3
+    ts = t[small]
+    d[small] = -0.5 + ts / 6.0 - ts**3 / 180.0
     e = -1.0 - d
     pos = a >= 0.0
     return np.where(pos, e, d), np.where(pos, d, e)
@@ -341,6 +351,7 @@ class _NewtonSystem:
     def __init__(self, disc: Discretization):
         self._disc = disc
         self._matrix: Optional[sp.csc_matrix] = None
+        self._rows: Optional[sp.csr_matrix] = None  # 3D: _matrix in CSR form
         self._lu = None
         # 3D only: |rhs - A x| of the last update, and the measured C of
         # |R_new| ~ rho + C |R_old|^2 (None until an undamped update shows it).
@@ -376,10 +387,12 @@ class _NewtonSystem:
 
         return apply
 
-    def _preconditioner(self, jac: sp.csc_matrix, f: np.ndarray) -> LinearOperator:
-        """M^-1 r: a Jacobi sweep, a density-weighted separable correction, a Jacobi sweep."""
+    def _preconditioner(self, jac: sp.csr_matrix, d: np.ndarray, f: np.ndarray) -> LinearOperator:
+        """M^-1 r: a Jacobi sweep, a density-weighted separable correction, a Jacobi sweep.
+
+        ``d`` is the diagonal of ``jac``.
+        """
         n_total, n_faces = self._disc.grid.n_total, len(self._disc.l_idx)
-        d = jac.diagonal()
         # Every column of A sums to 1, so (sum d - N) / (2 faces) is the mean
         # off-diagonal magnitude; damped iterates can make it negative.
         fd = self._separable_inverse(max(0.0, (float(d.sum()) - n_total) / (2 * n_faces)))
@@ -402,32 +415,37 @@ class _NewtonSystem:
         raises :class:`NonConvergence`.
         """
         disc = self._disc
+        krylov = disc.grid.dim == 3
         if self._matrix is None or not np.array_equal(data, self._matrix.data):
             self._lu = None  # never hold two factorizations
-            self._matrix = sp.csc_matrix(
-                (data, disc.jac_indices, disc.jac_indptr), shape=(disc.grid.n_total,) * 2
-            )
-        jac = self._matrix
+            shape = (disc.grid.n_total,) * 2
+            self._matrix = sp.csc_matrix((data, disc.jac_indices, disc.jac_indptr), shape=shape)
+            if krylov:
+                # The same matrix in row order: its mat-vec adds each row's
+                # terms in the CSC mat-vec's order, so the bits agree.
+                self._rows = sp.csr_matrix(
+                    (data[disc.jac_transpose], disc.jac_indices, disc.jac_indptr), shape=shape
+                )
         solved = False
-        if disc.grid.dim == 3:
+        if krylov:
+            jac = self._rows
             norm = float(np.max(np.abs(rhs)))
             # An iterate that overflows is a failed solve, not a warning.
             with np.errstate(over="ignore", invalid="ignore"):
-                x, info = bicgstab(
-                    jac, rhs / norm, rtol=rtol, atol=0.0, M=self._preconditioner(jac, f)
-                )
+                m = self._preconditioner(jac, data[disc.jac_diagonal], f)
+                x, info = bicgstab(jac, rhs / norm, rtol=rtol, atol=0.0, M=m)
                 x *= norm
             solved = info == 0 and bool(np.all(np.isfinite(x)))
         if not solved:
             if self._lu is None:
                 try:
-                    self._lu = splu(jac)
+                    self._lu = splu(self._matrix)
                 except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
                     raise NonConvergence(f"singular Newton system ({exc})") from None
             x = self._lu.solve(rhs)
         x += f * ((rhs.sum() - x.sum()) / f.sum())
-        if disc.grid.dim == 3:
-            self.rho = float(np.max(np.abs(rhs - jac @ x)))
+        if krylov:
+            self.rho = float(np.max(np.abs(rhs - self._rows @ x)))
         return x
 
     def forcing(self, rnorm: float, tol: float) -> float:

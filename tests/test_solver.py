@@ -247,6 +247,22 @@ def test_bernoulli_prime_matches_its_series_where_the_closed_form_cancels():
     np.testing.assert_allclose(bernoulli_prime(x), series, rtol=0.0, atol=1e-12)
 
 
+def test_bernoulli_slopes_have_the_bits_of_the_two_branch_formula():
+    # The closed form on every face, overwritten by the series below
+    # t = 5e-3, against both branches evaluated everywhere and picked by
+    # np.where, on each side of the switch and at the ends of the range.
+    t = np.array([0.0, 1e-300, 1e-8, 4.999e-3, 5e-3, 5.001e-3, 1.0, 700.0, 710.0, 1e300])
+    a = np.concatenate([t, -t])
+    b = np.minimum(*_bernoulli_pair(a))
+    t = np.abs(a)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = np.where(t < 5e-3, -0.5 + t / 6.0 - t**3 / 180.0, b * (1.0 - b - t) / t)
+    e = -1.0 - d
+    expected = np.where(a >= 0.0, e, d), np.where(a >= 0.0, d, e)
+    for got, want in zip(_bernoulli_slopes(a, b), expected):
+        assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("dim, n_cells", [(1, 16), (2, 8), (3, 10)])
 @pytest.mark.parametrize("boundary", [Boundary.PERIODIC, Boundary.NOFLUX])
 @pytest.mark.parametrize("diffusion_ref", ["D:homogeneous", "D:multi"])
@@ -314,7 +330,17 @@ def test_jacobian_pattern_sums_like_coo_to_csc(dim, n_cells, boundary):
     expected.sort_indices()
     np.testing.assert_array_equal(disc.jac_indptr, expected.indptr)
     np.testing.assert_array_equal(disc.jac_indices, expected.indices)
-    np.testing.assert_array_equal(disc.jacobian_values(dfl, dfr, c), expected.data)
+    data = disc.jacobian_values(dfl, dfr, c)
+    np.testing.assert_array_equal(data, expected.data)
+    # The diagonal's slots, and the same values in CSR order.
+    np.testing.assert_array_equal(data[disc.jac_diagonal], expected.diagonal())
+    rows = expected.tocsr()
+    np.testing.assert_array_equal(data[disc.jac_transpose], rows.data)
+    # A row-order mat-vec adds each row's terms in the CSC mat-vec's order.
+    twin = sp.csr_matrix((data[disc.jac_transpose], disc.jac_indices, disc.jac_indptr),
+                         shape=expected.shape)
+    v = rng.standard_normal(grid.n_total)
+    assert (twin @ v).tobytes() == (expected @ v).tobytes()
 
 
 # ----------------------------------------------------------------------
