@@ -399,9 +399,18 @@ class _NewtonSystem:
         w = np.minimum(1.0, f / f.mean())
 
         def apply(r: np.ndarray) -> np.ndarray:
+            # The temporaries are updated in place, in the order of
+            # z += w F(r - A z); z += (r - A z) / d, so the bits are the same.
+            # z itself is new on each call: BiCGSTAB keeps one while it makes the next.
             z = r / d
-            z += w * fd(r - jac @ z)
-            z += (r - jac @ z) / d
+            t = jac @ z
+            u = fd(np.subtract(r, t, out=t))
+            u *= w
+            z += u
+            t = jac @ z
+            np.subtract(r, t, out=t)
+            t /= d
+            z += t
             return z
 
         return LinearOperator(jac.shape, matvec=apply, dtype=float)
