@@ -65,15 +65,24 @@ grid where Jacobi's grows like n.  Each piece has a reason:
   lies between N / sum d (the mean Jacobi factor) and 1 on ordinary steps,
   and falls like 1/s with the neighbouring modes, so a step of dt = 1e300
   still ends on BiCGSTAB; with 1 it takes thousands of iterations.  On
-  the pinned fig-fe-3d-DM no-flux run, N / sum d took 205 Krylov
-  iterations and 1 / (1 + s lam_1) takes 147.
+  the pinned fig-fe-3d-DM no-flux run, with the weight w = min(1, f /
+  mean f), N / sum d took 205 Krylov iterations and 1 / (1 + s lam_1) 147.
 - M^-1 r is a Jacobi sweep z = r / d, the correction z += w F(r - A z)
-  with w = min(1, f / mean f), and another Jacobi sweep.  Near-empty
-  cells, where the drift the model leaves out dominates, are left to the
-  diagonal: without w the tails of a steep well come out with errors far
-  above their size, and without the sweeps BiCGSTAB breaks down on the
-  damped iterates of coarse runs.  With both, a steep-well step agrees
-  with the direct solve to 1e-10 relative in every cell.
+  with w = min(1, f / (0.1 mean f)), and another Jacobi sweep.  The
+  correction is trusted in every cell above a tenth of the mean density;
+  only near-empty cells, where the drift the model leaves out dominates,
+  are left to the diagonal: without w the tails of a steep well come out
+  with errors far above their size, and without the sweeps BiCGSTAB
+  breaks down on the damped iterates of coarse runs.  With both, a
+  steep-well step agrees with the direct solve to 1e-10 relative in
+  every cell.  Why a tenth: the pinned 3D Gaussians start with 82% of
+  their cells below the mean density, where min(1, f / mean f) scaled the
+  correction down, and 58% below a tenth of it.  With the tenth the
+  pinned n = 20 runs take fewer Krylov iterations (fig-fe-3d-hom
+  periodic 120 -> 94, fig-fe-3d-DM no-flux 147 -> 128) and no more Newton
+  updates.  Lower thresholds save a few iterations more but loosen the
+  tails: the steep-well step is off by at most 9.9e-11 relative at a
+  tenth, 1.3e-10 at 0.03 and 1.1e-9 at 0.01.
 
 Three details make the Krylov update as good as the direct one:
 
@@ -97,8 +106,13 @@ Three details make the Krylov update as good as the direct one:
   so its Newton iterations are unchanged (Eisenstat-Walker's "choice 2",
   which loosens from the residual ratio alone, took 40 in place of 13 on
   the linear 3D preset).
-- Should BiCGSTAB fail (nonzero ``info``, or an iterate that overflows
-  to a non-finite x), the step falls back to the direct solve.
+- Should BiCGSTAB fail (nonzero ``info``: a breakdown, or no convergence
+  within N iterations; or an iterate that overflows to a non-finite x),
+  the step falls back to the direct solve.  N, the number of cells, is a
+  tenth of scipy's default cap of 10 N, the inner-iteration cap of an
+  inexact Newton method (Kelley, Iterative Methods for Linear and
+  Nonlinear Equations, SIAM 1995, ch. 6): converging solves take far
+  fewer, and a solve that cannot converge reaches the fallback sooner.
 
 On both paths the update's mass error is then removed exactly.  Every
 Jacobian column sums to one, so the exact update carries the mass of the
@@ -388,15 +402,17 @@ class _NewtonSystem:
         return apply
 
     def _preconditioner(self, jac: sp.csr_matrix, d: np.ndarray, f: np.ndarray) -> LinearOperator:
-        """M^-1 r: a Jacobi sweep, a density-weighted separable correction, a Jacobi sweep.
+        """M^-1 r: a Jacobi sweep, a separable correction, a Jacobi sweep.
 
-        ``d`` is the diagonal of ``jac``.
+        ``d`` is the diagonal of ``jac``.  The correction is weighted by
+        w = min(1, f / (0.1 mean f)): whole in every cell above a tenth of
+        the mean density, scaled down with the density below it.
         """
         n_total, n_faces = self._disc.grid.n_total, len(self._disc.l_idx)
         # Every column of A sums to 1, so (sum d - N) / (2 faces) is the mean
         # off-diagonal magnitude; damped iterates can make it negative.
         fd = self._separable_inverse(max(0.0, (float(d.sum()) - n_total) / (2 * n_faces)))
-        w = np.minimum(1.0, f / f.mean())
+        w = np.minimum(1.0, f / (0.1 * f.mean()))
 
         def apply(r: np.ndarray) -> np.ndarray:
             # The temporaries are updated in place, in the order of
@@ -418,8 +434,8 @@ class _NewtonSystem:
     def solve(self, data: np.ndarray, rhs: np.ndarray, f: np.ndarray, rtol: float) -> np.ndarray:
         """Solve A x = rhs for the CSC values ``data`` of A on the Jacobian pattern.
 
-        BiCGSTAB to ``rtol`` in 3D; SuperLU otherwise or when BiCGSTAB
-        fails or returns a non-finite x.  The returned update carries the exact mass of ``rhs``; in 3D
+        BiCGSTAB to ``rtol`` within N iterations in 3D; SuperLU otherwise
+        or when BiCGSTAB fails or returns a non-finite x.  The returned update carries the exact mass of ``rhs``; in 3D
         its residual max|rhs - A x| is kept as ``rho``.  A singular system
         raises :class:`NonConvergence`.
         """
@@ -442,7 +458,9 @@ class _NewtonSystem:
             # An iterate that overflows is a failed solve, not a warning.
             with np.errstate(over="ignore", invalid="ignore"):
                 m = self._preconditioner(jac, data[disc.jac_diagonal], f)
-                x, info = bicgstab(jac, rhs / norm, rtol=rtol, atol=0.0, M=m)
+                x, info = bicgstab(
+                    jac, rhs / norm, rtol=rtol, atol=0.0, maxiter=disc.grid.n_total, M=m
+                )
                 x *= norm
             solved = info == 0 and bool(np.all(np.isfinite(x)))
         if not solved:

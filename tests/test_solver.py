@@ -702,23 +702,38 @@ def _coarse_3d_floored_single_run():
     "coarse_run", [_coarse_3d_run, _coarse_3d_single_run, _coarse_3d_floored_single_run]
 )
 def test_3d_newton_systems_are_solved_by_bicgstab(monkeypatch, coarse_run):
-    counts = {}
+    counts, maxiters = {}, []
     _count_calls(monkeypatch, "splu", counts)
-    _count_calls(monkeypatch, "bicgstab", counts)
+    inner = solver_mod.bicgstab
+
+    def recorded(*args, **kwargs):
+        maxiters.append(kwargs.get("maxiter"))
+        return inner(*args, **kwargs)
+
+    _count_calls(monkeypatch, "bicgstab", counts, replacement=recorded)
     _count_calls(monkeypatch, "_face_derivatives", counts)
     _count_calls(monkeypatch, "solve", counts, owner=solver_mod._NewtonSystem)
-    _final, trace = coarse_run()
+    final, trace = coarse_run()
     trace.validate()
     updates = counts["solve"]
     assert updates == counts["_face_derivatives"]
     assert updates >= 5
     assert counts.get("splu", 0) == 0
     assert counts["bicgstab"] >= updates
+    # Every solve is capped at N iterations, a tenth of scipy's default.
+    assert maxiters == [final.grid.n_total] * counts["bicgstab"]
 
 
-def test_3d_krylov_iterations_stay_within_budget(monkeypatch):
-    # The pinned no-flux fig-fe-3d-DM run: 205 Krylov iterations with N / sum d
-    # on the constant mode of the preconditioner, 147 with 1 / (1 + s lam_1).
+@pytest.mark.parametrize(
+    "preset, boundary, budget",
+    [("fig-fe-3d-hom", Boundary.PERIODIC, 100), ("fig-fe-3d-DM", Boundary.NOFLUX, 140)],
+)
+def test_3d_krylov_iterations_stay_within_budget(monkeypatch, preset, boundary, budget):
+    # The pinned n = 20 runs.  No-flux fig-fe-3d-DM: 205 Krylov iterations with
+    # N / sum d on the constant mode of the preconditioner, 147 with
+    # 1 / (1 + s lam_1), 128 with the correction trusted down to a tenth of
+    # the mean density (w = min(1, f / (0.1 mean f)) in place of
+    # min(1, f / mean f)).  Periodic fig-fe-3d-hom: 120, then 94.
     counts = {"iterations": 0}
     _count_calls(monkeypatch, "splu", counts)
     inner = solver_mod.bicgstab
@@ -730,11 +745,11 @@ def test_3d_krylov_iterations_stay_within_budget(monkeypatch):
         return inner(*args, callback=callback, **kwargs)
 
     monkeypatch.setattr(solver_mod, "bicgstab", counted)
-    _grid, pset, f0, config = materialize("fig-fe-3d-DM", Boundary.NOFLUX)
+    _grid, pset, f0, config = materialize(preset, boundary)
     _final, trace = run(f0, pset, config)
     trace.validate()
     assert counts.get("splu", 0) == 0
-    assert 0 < counts["iterations"] <= 170
+    assert 0 < counts["iterations"] <= budget
 
 
 @pytest.mark.parametrize("dim, n_cells", [(1, 24), (2, 12), (3, 8)])
