@@ -415,9 +415,9 @@ class _NewtonSystem:
         w = np.minimum(1.0, f / (0.1 * f.mean()))
 
         def apply(r: np.ndarray) -> np.ndarray:
-            # The temporaries are updated in place, in the order of
-            # z += w F(r - A z); z += (r - A z) / d, so the bits are the same.
-            # z itself is new on each call: BiCGSTAB keeps one while it makes the next.
+            # z += w F(r - A z); z += (r - A z) / d, with the temporaries
+            # reused in place.  z is new on each call: BiCGSTAB keeps one
+            # result while it computes the next.
             z = r / d
             t = jac @ z
             u = fd(np.subtract(r, t, out=t))
