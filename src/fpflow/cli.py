@@ -69,8 +69,12 @@ class ExperimentSpec:
     fit_floor: float = 1e-12
 
     def __post_init__(self) -> None:
-        if not self.name or any(sep in self.name for sep in "/\\"):
-            raise UsageError(f"experiment name {self.name!r} is empty or contains a path separator")
+        name = self.name
+        if not name or any(sep in name for sep in "/\\") or not name.isprintable():
+            raise UsageError(
+                f"experiment name {name!r} is empty, contains a path separator "
+                "or is not printable"
+            )
         if self.boundary not in ("periodic", "noflux", "both"):
             raise UsageError(f"boundary must be periodic, noflux or both, got {self.boundary!r}")
         if not 0.0 <= self.fit_transient_frac < 1.0:
@@ -160,8 +164,12 @@ _CONFIG_KEYS.update(
 def _parse_config_file(path: Path) -> dict:
     if not path.is_file():
         raise UsageError(f"config file {path} does not exist")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise UsageError(f"config file {path} is not UTF-8 text") from None
     out: dict = {}
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -174,6 +182,8 @@ def _parse_config_file(path: Path) -> dict:
             raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
         key = _CONFIG_KEYS[key]
         try:
+            if not value.isprintable():  # NUL and other control characters
+                raise ValueError(value)
             out[key] = _FIELD_TYPES[key](value)
         except ValueError:
             raise UsageError(f"{path}:{lineno}: invalid value {value!r} for {key}") from None

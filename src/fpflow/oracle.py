@@ -137,13 +137,13 @@ def reference_evolve(
     """
     if f0.grid != op.grid:
         raise ValueError("initial field lives on a different grid than the operator")
-    if t_end <= 0.0:
-        raise ValueError(f"t_end must be positive, got {t_end}")
+    if not 0.0 < t_end < np.inf:
+        raise ValueError(f"t_end must be positive and finite, got {t_end}")
     if dt is None:
         dmax = float(np.max(np.abs(op.matrix.diagonal())))
         dt = 0.5 / dmax if dmax > 0.0 else t_end
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    if not 0.0 < dt < np.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     n_steps = max(1, math.ceil(t_end / dt - 1e-12))
     step = t_end / n_steps
     eye = sp.eye_array(op.grid.n_total, format="csr")

@@ -157,14 +157,15 @@ class Discretization:
     caller's cell values to the faces.  Nothing on the object changes
     after construction, so runs and threads share it freely.
 
-    It also lists the backward-Euler Newton Jacobian, the one place that
-    does: the sparsity pattern is built once, in CSC form (``jac_indptr``,
-    ``jac_indices``, rows sorted in each column), with the slots of the
-    diagonal (``jac_diagonal``) and the permutation that reads the values
-    in CSR order (``jac_transpose``: the pattern is structurally
-    symmetric, so CSR of the matrix is the same pattern).
-    :meth:`jacobian_values` fills it from the faces' flux derivatives by
-    one mat-vec of a sparse assembly operator built with the pattern.
+    It also builds the backward-Euler Newton Jacobian, the one place that
+    does, in the layout the solver's solve reads: CSR in 3D, where
+    BiCGSTAB only multiplies by it, and CSC in 1D and 2D, where SuperLU
+    factors it.  The sparsity pattern is built once (``jac_indptr``,
+    ``jac_indices``, sorted within each row or column) with the slots of
+    the diagonal (``jac_diagonal``).  It is structurally symmetric, so
+    these arrays read the same in either layout.  :meth:`jacobian` fills
+    it from the faces' flux derivatives by one mat-vec of a sparse
+    assembly operator built with the pattern.
     """
 
     def __init__(self, grid: TensorGrid, params: ParameterSet):
@@ -187,8 +188,13 @@ class Discretization:
         self.dD = _read_only(D[R] - D[L])
         self.Dbar = _read_only(self.face_mean(self.D))
         # Jacobian COO entries: the diagonal, then (L, L), (L, R), (R, L),
-        # (R, R) of every face.
-        keys = np.concatenate((cells, L, R, L, R)) * n + np.concatenate((cells, L, L, R, R))
+        # (R, R) of every face, keyed row-major in 3D (CSR) and
+        # column-major otherwise (CSC).
+        major, minor = (cells, L, L, R, R), (cells, L, R, L, R)
+        self._jac_format = sp.csr_matrix
+        if grid.dim != 3:
+            major, minor, self._jac_format = minor, major, sp.csc_matrix
+        keys = np.concatenate(major) * n + np.concatenate(minor)
         # One stable sort gives what np.unique(..., return_inverse=True)
         # gives, without that call's set-up transient in peak memory, and
         # lists each slot's entries in COO order.
@@ -204,18 +210,10 @@ class Discretization:
         self.jac_indptr = _read_only(np.searchsorted(keys, np.arange(n + 1) * n).astype(index))
         self.jac_indices = _read_only((keys % n).astype(index))
         self.jac_diagonal = _read_only(slot[:n].copy())
-        # The pattern is structurally symmetric, so A's CSR values are its
-        # CSC values at the mirrored slots: an (L, R) entry mirrors the
-        # (R, L) entry of its face, a diagonal entry itself.
-        n_faces = L.size
-        lr, rl = slot[n + n_faces:n + 2 * n_faces], slot[n + 2 * n_faces:n + 3 * n_faces]
-        mirror = np.empty_like(keys)
-        mirror[self.jac_diagonal] = self.jac_diagonal
-        mirror[lr], mirror[rl] = rl, lr
-        self.jac_transpose = _read_only(mirror)
         # Row k sums the entries of slot k, in COO order, from
         # x = (1, c dJ/df_L, c dJ/df_R): the diagonal's 1, then +x for the
         # face blocks (L, L), (L, R) and -x for (R, L), (R, R).
+        n_faces = L.size
         entry = order - n
         cols = entry % (2 * n_faces) + 1
         cols[entry < 0] = 0
@@ -256,21 +254,22 @@ class Discretization:
         flat = cell_values.ravel()
         return 0.5 * (flat[self.l_idx] + flat[self.r_idx])
 
-    def jacobian_values(self, dj_l: np.ndarray, dj_r: np.ndarray, c: float) -> np.ndarray:
-        """CSC values of I + c * d(div J)/df on ``jac_indptr`` and ``jac_indices``.
+    def jacobian(self, dj_l: np.ndarray, dj_r: np.ndarray, c: float) -> sp.spmatrix:
+        """I + c * d(div J)/df on ``jac_indptr`` and ``jac_indices``: CSR in 3D, else CSC.
 
         ``dj_l`` and ``dj_r`` are the faces' dJ/df_L and dJ/df_R and ``c``
         is dt / h.  The face flux enters cell L's divergence with + and
         cell R's with -.  One mat-vec of the assembly operator adds each
         slot's entries from zero in COO order, which gives the bits of a
-        COO-to-CSC conversion.
+        COO-to-CSR or COO-to-CSC conversion.
         """
         n_faces = self.l_idx.size
         x = np.empty(1 + 2 * n_faces)
         x[0] = 1.0
         np.multiply(c, dj_l, out=x[1:1 + n_faces])
         np.multiply(c, dj_r, out=x[1 + n_faces:])
-        return self._jac_assembly @ x
+        return self._jac_format((self._jac_assembly @ x, self.jac_indices, self.jac_indptr),
+                                shape=(self.grid.n_total,) * 2)
 
     def pi(self, t: float) -> np.ndarray:
         """Cell values of the mobility at time t, evaluated and checked at each call."""

@@ -125,26 +125,24 @@ the mass of f_old to round-off whatever the linear solver's accuracy.
 The :class:`~fpflow.params.Discretization` lists every interior face
 once: the flux and dJ/df_L, dJ/df_R gather cell values through each
 face's two cell indices, and the residual scatters J back to the cells.
-It also lists the Jacobian: it builds the CSC sparsity pattern once and
-fills it from dJ/df by one mat-vec of a sparse assembly operator, which
-adds each slot's entries in the order a COO-to-CSC conversion would,
-into one new array per update.  In 3D BiCGSTAB, its preconditioner and
-rho multiply by the same matrix in CSR form (its values permuted onto the
-structurally symmetric pattern), whose rows add their terms in the CSC
-mat-vec's order, so the bits are the same and each mat-vec is faster;
-SuperLU and the reuse test below keep the CSC matrix.  The face
+It also builds the Jacobian: one matrix per update, in the layout its
+solve reads.  It fills a once-built sparsity pattern from dJ/df by one
+mat-vec of a sparse assembly operator, which adds each slot's entries in
+the order a COO conversion would, into one new array per update.  In 3D
+the matrix is CSR, whose row-order mat-vec suits BiCGSTAB, its
+preconditioner and rho; a fallback hands SuperLU its CSC conversion.  In
+1D and 2D it is CSC, which SuperLU factors as it is.  The face
 coefficient Dbar / (pibar h) depends on the step's time alone, so each
 step evaluates the mobility once and forms it once, before its first
-Newton iteration.  Each flux evaluation
-keeps the face terms the derivatives reuse, and dJ/df is formed only
-after the residual test has failed, for the update that follows: the
-iteration that stops forms none.  One :func:`run` (or one
-:func:`backward_euler_step`) solves its Newton systems through one
-object, which keeps the last matrix with its SuperLU factors once they
-are made.  When the next Jacobian's values are bitwise
-equal to the kept ones, as they are at every update for constant D and a
-time-independent mobility, the kept factors solve it: SuperLU is
-deterministic, so the update has the same bits as with a new
+Newton iteration.  Each flux evaluation keeps the face terms the
+derivatives reuse, and dJ/df is formed only after the residual test has
+failed, for the update that follows: the iteration that stops forms
+none.  One :func:`run` (or one :func:`backward_euler_step`) solves its
+Newton systems through one object, which keeps its last SuperLU
+factorization with the values it factored.  When the next matrix to
+factor has values bitwise equal to those, as it has at every update for
+constant D and a time-independent mobility, the kept factors solve it:
+SuperLU is deterministic, so the update has the same bits as with a new
 factorization.  Otherwise the old factors are dropped before the new
 matrix is factored.  The kept factors live only in the call's local
 state: the Discretization, shared across runs and threads, keeps
@@ -352,11 +350,11 @@ def assemble_flux(f: ScalarField, params: ParameterSet, t: float) -> FaceField:
 # ----------------------------------------------------------------------
 
 class _NewtonSystem:
-    """Solves the Newton systems of one run or step, keeping the last matrix.
+    """Solves the Newton systems of one run or step, keeping the last factorization.
 
-    The matrix is kept with its SuperLU factors once they are made; a new
-    Jacobian whose values are bitwise equal to the kept ones is that
-    matrix, so its factors are reused.  In 3D it also keeps the measured
+    It keeps its last SuperLU factorization with the values it factored; a
+    new Jacobian whose values are bitwise equal to those is that matrix,
+    so the factors are reused.  In 3D it also keeps the measured
     nonlinearity C that sets the forcing term.  It lives in the local state
     of one :func:`run` or :func:`backward_euler_step` call, never on the
     shared :class:`~fpflow.params.Discretization`.
@@ -364,9 +362,8 @@ class _NewtonSystem:
 
     def __init__(self, disc: Discretization):
         self._disc = disc
-        self._matrix: Optional[sp.csc_matrix] = None
-        self._rows: Optional[sp.csr_matrix] = None  # 3D: _matrix in CSR form
         self._lu = None
+        self._factored: Optional[np.ndarray] = None  # the values _lu factors
         # 3D only: |rhs - A x| of the last update, and the measured C of
         # |R_new| ~ rho + C |R_old|^2 (None until an undamped update shows it).
         self.rho: Optional[float] = None
@@ -401,7 +398,7 @@ class _NewtonSystem:
 
         return apply
 
-    def _preconditioner(self, jac: sp.csr_matrix, d: np.ndarray, f: np.ndarray) -> LinearOperator:
+    def _preconditioner(self, jac: sp.spmatrix, d: np.ndarray, f: np.ndarray) -> LinearOperator:
         """M^-1 r: a Jacobi sweep, a separable correction, a Jacobi sweep.
 
         ``d`` is the diagonal of ``jac``.  The correction is weighted by
@@ -431,48 +428,40 @@ class _NewtonSystem:
 
         return LinearOperator(jac.shape, matvec=apply, dtype=float)
 
-    def solve(self, data: np.ndarray, rhs: np.ndarray, f: np.ndarray, rtol: float) -> np.ndarray:
-        """Solve A x = rhs for the CSC values ``data`` of A on the Jacobian pattern.
+    def solve(self, jac: sp.spmatrix, rhs: np.ndarray, f: np.ndarray, rtol: float) -> np.ndarray:
+        """Solve jac x = rhs for the Newton matrix ``jac`` on the Jacobian pattern.
 
         BiCGSTAB to ``rtol`` within N iterations in 3D; SuperLU otherwise
-        or when BiCGSTAB fails or returns a non-finite x.  The returned update carries the exact mass of ``rhs``; in 3D
-        its residual max|rhs - A x| is kept as ``rho``.  A singular system
-        raises :class:`NonConvergence`.
+        or when BiCGSTAB fails or returns a non-finite x.  The returned
+        update carries the exact mass of ``rhs``; in 3D its residual
+        max|rhs - A x| is kept as ``rho``.  A singular system raises
+        :class:`NonConvergence`.
         """
         disc = self._disc
         krylov = disc.grid.dim == 3
-        if self._matrix is None or not np.array_equal(data, self._matrix.data):
-            self._lu = None  # never hold two factorizations
-            shape = (disc.grid.n_total,) * 2
-            self._matrix = sp.csc_matrix((data, disc.jac_indices, disc.jac_indptr), shape=shape)
-            if krylov:
-                # The same matrix in row order: its mat-vec adds each row's
-                # terms in the CSC mat-vec's order, so the bits agree.
-                self._rows = sp.csr_matrix(
-                    (data[disc.jac_transpose], disc.jac_indices, disc.jac_indptr), shape=shape
-                )
         solved = False
         if krylov:
-            jac = self._rows
             norm = float(np.max(np.abs(rhs)))
             # An iterate that overflows is a failed solve, not a warning.
             with np.errstate(over="ignore", invalid="ignore"):
-                m = self._preconditioner(jac, data[disc.jac_diagonal], f)
+                m = self._preconditioner(jac, jac.data[disc.jac_diagonal], f)
                 x, info = bicgstab(
                     jac, rhs / norm, rtol=rtol, atol=0.0, maxiter=disc.grid.n_total, M=m
                 )
                 x *= norm
             solved = info == 0 and bool(np.all(np.isfinite(x)))
         if not solved:
-            if self._lu is None:
+            if self._lu is None or not np.array_equal(jac.data, self._factored):
+                self._lu = None  # never hold two factorizations
                 try:
-                    self._lu = splu(self._matrix)
+                    self._lu = splu(jac.tocsc())
                 except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
                     raise NonConvergence(f"singular Newton system ({exc})") from None
+                self._factored = jac.data
             x = self._lu.solve(rhs)
         x += f * ((rhs.sum() - x.sum()) / f.sum())
         if krylov:
-            self.rho = float(np.max(np.abs(rhs - self._rows @ x)))
+            self.rho = float(np.max(np.abs(rhs - jac @ x)))
         return x
 
     def forcing(self, rnorm: float, tol: float) -> float:
@@ -546,9 +535,9 @@ def _newton_solve(
                 f"(tolerance {tol_abs:.3e})"
             )
 
-        data = disc.jacobian_values(*_face_derivatives(disc, quantities), c)
+        jac = disc.jacobian(*_face_derivatives(disc, quantities), c)
         rtol = system.forcing(rnorm, tol_abs)
-        delta = system.solve(data, -residual.ravel(), f.ravel(), rtol).reshape(grid.shape)
+        delta = system.solve(jac, -residual.ravel(), f.ravel(), rtol).reshape(grid.shape)
 
         lam = 1.0
         while np.any(f + lam * delta <= 0.0):

@@ -168,6 +168,6 @@ def _segments(mask: np.ndarray) -> list[np.ndarray]:
 
 
 def _escape(text: str) -> str:
-    return (
-        text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-    )
+    """XML text with non-ASCII characters as character references, so SVGs stay ASCII."""
+    text = text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    return text.encode("ascii", "xmlcharrefreplace").decode("ascii")

@@ -93,6 +93,16 @@ def test_run_preset_name_appears_in_filenames(tmp_path, capsys):
     assert (tmp_path / "fig-fe-1d-hom_trace.csv").is_file()
 
 
+def test_run_non_ascii_name_writes_an_ascii_svg(tmp_path, capsys):
+    code, out, err = run_cli(capsys, [
+        "run", "--name", "café", "--n-cells", "8", "--n-steps", "2", "--out", str(tmp_path),
+    ])
+    assert code == 0 and err == ""
+    assert (tmp_path / "café_trace.csv").is_file()
+    assert "caf&#233;" in (tmp_path / "café_fe.svg").read_bytes().decode("ascii")
+    assert "café: " in out
+
+
 def test_run_record_every_thins_the_trace(tmp_path, capsys):
     code, _, _ = run_cli(capsys, [
         "run", "--n-cells", "24", "--n-steps", "25", "--t-final", "0.8",
@@ -148,6 +158,8 @@ def test_dimension_limited_preset_is_a_usage_error(tmp_path, capsys):
         ["--t-final", "0"],
         ["--t-final", "inf"],
         ["--name", "a/b"],
+        ["--name", "a\tb"],
+        ["--name", "caf\udce9"],  # an undecodable byte of argv
         ["--fit-transient-frac", "1.0"],
         ["--fit-floor", "-1"],
         ["--fit-floor", "nan"],
@@ -393,11 +405,17 @@ def test_empty_name_flag_keeps_the_name_and_empty_name_key_exits_2(tmp_path, cap
         ("n-steps = 4\ndim = 1.5\n", "bad.cfg:2: invalid value '1.5' for dim"),
         ("t-final = inf\n", "t_final must be positive and finite"),
         ("ic = ic:gauss-v1e-300\n", "variance 1e-300 is not resolvable"),
+        ("name = a\0b\n", "bad.cfg:1: invalid value 'a\\x00b' for name"),
+        ("out = d\0x\n", "bad.cfg:1: invalid value 'd\\x00x' for output_dir"),
+        (b"name = caf\xe9\n", "bad.cfg is not UTF-8 text"),
     ],
 )
 def test_malformed_config_exits_2(tmp_path, capsys, content, fragment):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text(content)
+    if isinstance(content, bytes):
+        cfg.write_bytes(content)
+    else:
+        cfg.write_text(content)
     code, _, err = run_cli(capsys, ["run", "--config", str(cfg)])
     assert code == 2
     assert fragment in err

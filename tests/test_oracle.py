@@ -164,10 +164,12 @@ def test_reference_evolve_validation():
     )
     with pytest.raises(ValueError, match="different grid"):
         reference_evolve(op, other, 0.1)
-    with pytest.raises(ValueError, match="t_end"):
-        reference_evolve(op, f0, 0.0)
-    with pytest.raises(ValueError, match="dt"):
-        reference_evolve(op, f0, 0.1, dt=-1.0)
+    for t_end in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="t_end"):
+            reference_evolve(op, f0, t_end)
+    for dt in (-1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="dt"):
+            reference_evolve(op, f0, 0.1, dt=dt)
 
 
 @pytest.mark.parametrize("boundary", [Boundary.PERIODIC, Boundary.NOFLUX])

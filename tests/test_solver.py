@@ -286,10 +286,9 @@ def test_newton_jacobian_matches_finite_differences(
     systems = []
     inner = solver_mod._NewtonSystem.solve
 
-    def capture(self, data, rhs, f, rtol):
-        jac = sp.csc_matrix((data, disc.jac_indices, disc.jac_indptr), shape=(grid.n_total,) * 2)
+    def capture(self, jac, rhs, f, rtol):
         systems.append((jac, f.reshape(grid.shape).copy()))
-        return inner(self, data, rhs, f, rtol)
+        return inner(self, jac, rhs, f, rtol)
 
     monkeypatch.setattr(solver_mod._NewtonSystem, "solve", capture)
     backward_euler_step(
@@ -308,10 +307,10 @@ def test_newton_jacobian_matches_finite_differences(
 @pytest.mark.parametrize("dim, n_cells", [(1, 2), (1, 16), (2, 3), (2, 8), (3, 2), (3, 5)])
 @pytest.mark.parametrize("boundary", [Boundary.PERIODIC, Boundary.NOFLUX])
 def test_jacobian_pattern_sums_like_coo_to_csc(dim, n_cells, boundary):
-    # The once-built pattern, filled by Discretization.jacobian_values,
-    # against the COO -> CSC conversion of the same entries, bit for bit.
-    # A 2-cell periodic axis lists each off-diagonal entry twice, so
-    # duplicates are summed there.
+    # The once-built pattern, filled by Discretization.jacobian, against
+    # the conversion of the same COO entries to the layout the solve reads
+    # (CSR in 3D, CSC otherwise), bit for bit.  A 2-cell periodic axis
+    # lists each off-diagonal entry twice, so duplicates are summed there.
     grid = build_grid(dim, n_cells, boundary)
     disc = build_parameter_set(dim, "D:homogeneous", n_cells).discretize(grid)
     rng = np.random.default_rng(n_cells)
@@ -320,27 +319,23 @@ def test_jacobian_pattern_sums_like_coo_to_csc(dim, n_cells, boundary):
     dfl, dfr = rng.uniform(-1.0, 1.0, (2,) + L.shape)
     jl, jr = c * dfl, c * dfr
     # The face flux enters cell L's divergence with +, cell R's with -.
-    expected = sp.coo_matrix(
+    entries = sp.coo_matrix(
         (
             np.concatenate((np.ones(grid.n_total), jl, jr, -jl, -jr)),
             (np.concatenate((diag, L, L, R, R)), np.concatenate((diag, L, R, L, R))),
         ),
         shape=(grid.n_total,) * 2,
-    ).tocsc()
+    )
+    expected = entries.tocsr() if dim == 3 else entries.tocsc()
     expected.sort_indices()
     np.testing.assert_array_equal(disc.jac_indptr, expected.indptr)
     np.testing.assert_array_equal(disc.jac_indices, expected.indices)
-    data = disc.jacobian_values(dfl, dfr, c)
-    np.testing.assert_array_equal(data, expected.data)
-    # The diagonal's slots, and the same values in CSR order.
-    np.testing.assert_array_equal(data[disc.jac_diagonal], expected.diagonal())
-    rows = expected.tocsr()
-    np.testing.assert_array_equal(data[disc.jac_transpose], rows.data)
-    # A row-order mat-vec adds each row's terms in the CSC mat-vec's order.
-    twin = sp.csr_matrix((data[disc.jac_transpose], disc.jac_indices, disc.jac_indptr),
-                         shape=expected.shape)
-    v = rng.standard_normal(grid.n_total)
-    assert (twin @ v).tobytes() == (expected @ v).tobytes()
+    jac = disc.jacobian(dfl, dfr, c)
+    assert jac.format == expected.format
+    for name in ("data", "indices", "indptr"):
+        assert getattr(jac, name).tobytes() == getattr(expected, name).tobytes(), name
+    # The diagonal's slots.
+    np.testing.assert_array_equal(jac.data[disc.jac_diagonal], expected.diagonal())
 
 
 # ----------------------------------------------------------------------
@@ -814,8 +809,8 @@ def _record_solves(monkeypatch):
     solves = []
     inner = solver_mod._NewtonSystem.solve
 
-    def recorded(self, data, rhs, f, rtol):
-        x = inner(self, data, rhs, f, rtol)
+    def recorded(self, jac, rhs, f, rtol):
+        x = inner(self, jac, rhs, f, rtol)
         solves.append((rtol, float(np.max(np.abs(rhs))), f.copy(), x.copy()))
         return x
 
@@ -994,11 +989,10 @@ def test_non_finite_bicgstab_solution_falls_back_to_splu(monkeypatch):
     )
     grid = build_grid(3, 6, Boundary.PERIODIC)
     disc = build_parameter_set(3, "D:homogeneous", 6).discretize(grid)
-    n = grid.n_total
-    cols = np.repeat(np.arange(n), np.diff(disc.jac_indptr))
-    data = np.where(disc.jac_indices == cols, 1.0, 0.0)  # the identity
+    n, zeros = grid.n_total, np.zeros(disc.l_idx.size)
+    jac = disc.jacobian(zeros, zeros, 1.0)  # the identity
     rhs = np.linspace(1.0, 2.0, n)
-    x = solver_mod._NewtonSystem(disc).solve(data, rhs, np.ones(n), 1e-10)
+    x = solver_mod._NewtonSystem(disc).solve(jac, rhs, np.ones(n), 1e-10)
     assert counts == {"bicgstab": 1, "splu": 1}
     np.testing.assert_allclose(x, rhs, rtol=1e-15)
 
@@ -1007,23 +1001,26 @@ def test_non_finite_bicgstab_solution_falls_back_to_splu(monkeypatch):
 def test_singular_newton_system_is_a_typed_failure(monkeypatch, dim, n_cells):
     # Two equal rows make the system exactly singular; in 3D BiCGSTAB fails
     # on it first (the right-hand side is not in the range).  SuperLU then
-    # finds a zero pivot.
+    # finds a zero pivot, on the second solve of the same matrix too: no
+    # factorization was kept from the first.
     counts = {}
     _count_calls(monkeypatch, "splu", counts)
     grid = build_grid(dim, n_cells, Boundary.PERIODIC)
     disc = build_parameter_set(dim, "D:homogeneous", n_cells).discretize(grid)
-    n = grid.n_total
-    jac = sp.eye(n, format="lil")
-    jac[0, 1] = jac[1, 0] = 1.0
-    # The same matrix as values on the Jacobian pattern, which holds (0, 1).
-    cols = np.repeat(np.arange(n), np.diff(disc.jac_indptr))
-    data = np.asarray(jac.tocsr()[disc.jac_indices, cols]).ravel()
-    assert data.sum() == n + 2
+    n, zeros = grid.n_total, np.zeros(disc.l_idx.size)
+    jac = disc.jacobian(zeros, zeros, 1.0)  # the identity on the Jacobian pattern
+    jac[0, 1] = jac[1, 0] = 1.0  # the pattern holds (0, 1) and (1, 0)
+    assert jac.nnz == disc.jac_indices.size
+    assert jac.data.sum() == n + 2
     rhs = np.zeros(n)
     rhs[0] = 1.0
-    with pytest.raises(NonConvergence, match=r"^singular Newton system \(Factor is exactly singular\)"):
-        solver_mod._NewtonSystem(disc).solve(data, rhs, np.ones(n), 1e-10)
-    assert counts["splu"] == 1
+    system = solver_mod._NewtonSystem(disc)
+    for solves in (1, 2):
+        with pytest.raises(
+            NonConvergence, match=r"^singular Newton system \(Factor is exactly singular\)"
+        ):
+            system.solve(jac, rhs, np.ones(n), 1e-10)
+        assert counts["splu"] == solves
 
 
 @pytest.mark.parametrize("dim, n_cells", [(1, 100), (3, 6)])

@@ -6,10 +6,13 @@ Each case runs ``solver.run`` from ``preset_gaussian_ic(dim, variance)``
 (no tail floor) with ``D:single`` or ``D:multi`` on a periodic or no-flux
 grid, for every cell count, variance and horizon of its dimension below.
 The output is a JSON list with one record per case: the case, its outcome
-(``ok``, ``NonConvergence`` or ``PositivityLoss``) and its wall seconds;
-for ``ok`` runs also the mass drift, max |mass - mass_0|, and the largest
-rise of F between consecutive steps (negative when F fell at every step).
-A summary line per dimension goes to stdout.
+(``ok``, ``NonConvergence`` or ``PositivityLoss``), its wall seconds and
+its number of SuperLU (``splu``) calls: factorizations in 1D and 2D,
+fallbacks from BiCGSTAB in 3D; for ``ok`` runs also the mass drift,
+max |mass - mass_0|, and the largest rise of F between consecutive steps
+(negative when F fell at every step).  A summary line per dimension goes
+to stdout, with the total of ``splu`` calls and the number of finishing
+runs that made any.
 
 The sweep measures; it is not a gate, and its cases are fixed: change
 them only with a CHANGES.md entry, never to make a change look better.
@@ -18,6 +21,7 @@ them only with a CHANGES.md entry, never to make a change look better.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import sys
@@ -25,6 +29,7 @@ import time
 
 import numpy as np
 
+import fpflow.solver
 from fpflow import (
     Boundary, NonConvergence, PositivityLoss, SolverConfig, build_grid, preset_gaussian_ic, run,
 )
@@ -40,6 +45,22 @@ DIFFUSIONS = ("D:single", "D:multi")
 BOUNDARIES = (Boundary.PERIODIC, Boundary.NOFLUX)
 
 
+@contextlib.contextmanager
+def counting_splu():
+    """Count, in the yielded one-item list, the solver's ``splu`` calls inside the block."""
+    calls, inner = [0], fpflow.solver.splu
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return inner(*args, **kwargs)
+
+    fpflow.solver.splu = counted
+    try:
+        yield calls
+    finally:
+        fpflow.solver.splu = inner
+
+
 def run_case(dim: int, n_cells: int, variance: float, t_final: float, n_steps: int,
              diffusion: str, boundary: Boundary) -> dict:
     """One sweep case as a JSON-ready record."""
@@ -50,15 +71,17 @@ def run_case(dim: int, n_cells: int, variance: float, t_final: float, n_steps: i
     params = build_parameter_set(dim, diffusion, n_cells)
     config = SolverConfig(t_final=t_final, n_steps=n_steps)
     t0 = time.perf_counter()
-    try:
-        _final, trace = run(f0, params, config)
-    except (NonConvergence, PositivityLoss) as exc:
-        record.update(outcome=type(exc).__name__, seconds=time.perf_counter() - t0,
-                      message=str(exc))
-        return record
+    with counting_splu() as splu_calls:
+        try:
+            _final, trace = run(f0, params, config)
+        except (NonConvergence, PositivityLoss) as exc:
+            record.update(outcome=type(exc).__name__, seconds=time.perf_counter() - t0,
+                          splu_calls=splu_calls[0], message=str(exc))
+            return record
     record.update(
         outcome="ok",
         seconds=time.perf_counter() - t0,
+        splu_calls=splu_calls[0],
         mass_drift=float(np.max(np.abs(trace.mass - trace.mass[0]))),
         max_F_rise=float(np.max(np.diff(trace.F))),
     )
@@ -77,10 +100,13 @@ def sweep(dims) -> list[dict]:
         ]
         records += done
         failed = [r for r in done if r["outcome"] != "ok"]
+        finished = [r for r in done if r["outcome"] == "ok"]
         print(
             f"{dim}D: {len(failed)}/{len(done)} fail, "
             f"{sum(r['seconds'] for r in failed):.1f} s in failing runs, "
-            f"{sum(r['seconds'] for r in done if r['outcome'] == 'ok'):.1f} s in the others",
+            f"{sum(r['seconds'] for r in finished):.1f} s in the others; "
+            f"{sum(r['splu_calls'] for r in done)} splu calls, "
+            f"{sum(r['splu_calls'] > 0 for r in finished)} finishing runs made any",
             flush=True,
         )
     return records
