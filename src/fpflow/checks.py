@@ -5,10 +5,10 @@ one-line detail or None, and raises (an ``AssertionError`` with a
 one-line message, normally) on failure.  Checks fail through
 :func:`_require`, not ``assert``, so they hold under ``python -O`` too.
 ``FAST`` holds the 16 checks ``fpflow verify`` runs by default;
-``verify full`` adds the 15 slower ones in ``FULL``: four
-multi-dimensional and refinement checks and the acceptance criteria
-01-11.  The test suite runs the same callables, one pytest item per
-check.
+``verify full`` adds the 16 slower ones in ``FULL``: five
+multi-dimensional, refinement and convergence checks and the acceptance
+criteria 01-11.  The test suite runs the same callables, one pytest item
+per check.
 
 The state-evolution checks read shared runs: one 1D reference run per
 (boundary, diffusion), and the 18 pinned figure runs with their 18
@@ -451,6 +451,38 @@ def _chk_refined_functional() -> None:
     _require(abs(fe - want) <= 1e-13, f"constant-field free energy off by {abs(fe - want):.3e}")
 
 
+def _chk_self_convergence() -> str:
+    """Second-order accuracy of the variable-D scheme against its own n = 1,600 run.
+
+    1D periodic D:single from the untruncated variance-0.02 Gaussian, 400
+    steps to t = 0.1; the reference's cells are averaged down to each grid.
+    D:multi would not do: its modes depend on the cell count.
+    """
+    # 1.35 times the n = 200 error measured when the check was added (L1
+    # errors 1.79e-3, 4.49e-4, 1.11e-4 at n = 50, 100, 200): room for a
+    # flux change that costs a fifth in accuracy, not for a lost order.
+    bound = 1.5e-4
+    ic = params_mod.get_initial_condition("ic:gauss-v0.02", 1)
+    config = SolverConfig(t_final=0.1, n_steps=400)
+    finals = {}
+    for n in (50, 100, 200, 1600):
+        grid = build_grid(1, n, Boundary.PERIODIC)
+        finals[n] = run(ic.build(grid), build_parameter_set(1, "D:single", n), config)[0]
+    reference = finals.pop(1600).values
+    errors = [
+        f.grid.cell_volume * float(np.sum(np.abs(f.values - reference.reshape(n, -1).mean(1))))
+        for n, f in finals.items()
+    ]
+    orders = [float(np.log2(e / e_next)) for e, e_next in zip(errors, errors[1:])]
+    detail = (
+        "L1 errors " + ", ".join(f"{e:.3e}" for e in errors) + " at n = 50, 100, 200; "
+        "orders " + ", ".join(f"{q:.2f}" for q in orders)
+        + f" (want >= 1.8); bound {bound:.1e} at n = 200"
+    )
+    _require(min(orders) >= 1.8 and errors[-1] <= bound, detail)
+    return detail
+
+
 # Acceptance criteria 01-11.  Each returns its one-line detail.
 
 RUNTIME_BUDGET_SECONDS = {1: 5.0, 2: 60.0, 3: 600.0}
@@ -636,6 +668,7 @@ FULL: list[tuple[str, Callable[[], Optional[str]]]] = [
     ("mass-conservation-3d", _chk_mass_3d),
     ("step-refinement", _chk_step_refinement),
     ("refined-functional", _chk_refined_functional),
+    ("self-convergence-variable-d", _chk_self_convergence),
     ("criterion-01-mass-conservation-and-runtime", _crit_mass_and_runtime),
     ("criterion-02-discrete-energy-decay", _crit_energy_decay),
     ("criterion-03-exponential-decay-six-panels", _crit_exponential_decay),

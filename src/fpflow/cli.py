@@ -16,9 +16,9 @@ which overrides the preset, which overrides the field defaults.
 Each value is checked once, by the object that uses it: the grid checks
 dim and n-cells, :class:`~fpflow.solver.SolverConfig` checks n-steps,
 t-final and record-every, and the :class:`~fpflow.params.Discretization`
-checks D and pi positive on the grid.  A bad value exits with status 2
-and one line before its run starts; ``compare`` builds every experiment
-before it runs any.
+checks D positive on the grid, and pi there at t-final.  A bad value
+exits with status 2 and one line before its run starts; ``compare``
+builds every experiment before it runs any.
 """
 
 from __future__ import annotations
@@ -74,6 +74,13 @@ class ExperimentSpec:
             raise UsageError(
                 f"experiment name {name!r} is empty, contains a path separator "
                 "or is not printable"
+            )
+        # The longest file a spec writes is <name>_periodic_trace.csv, and
+        # file systems cap a file name at 255 bytes.
+        if len(f"{name}_periodic_trace.csv".encode("utf-8")) > 255:
+            raise UsageError(
+                "experiment name is too long: output file names allow it at most "
+                "236 bytes in UTF-8"
             )
         if self.boundary not in ("periodic", "noflux", "both"):
             raise UsageError(f"boundary must be periodic, noflux or both, got {self.boundary!r}")
@@ -233,6 +240,9 @@ def _materialize(spec: ExperimentSpec, boundary: str):
             potential_ref=spec.potential_ref, name=spec.name,
         )
         f0 = params_mod.get_initial_condition(spec.ic_ref, spec.dim, pset).build(grid)
+        # The mobility is the one coefficient that depends on t; a preset's
+        # fails only by overflowing as t grows, so it is checked at t_final.
+        pset.discretize(grid).pi(config.t_final)
     except PresetNotFound as exc:
         raise UsageError(str(exc.args[0])) from None
     except ValueError as exc:

@@ -272,8 +272,14 @@ class Discretization:
                                 shape=(self.grid.n_total,) * 2)
 
     def pi(self, t: float) -> np.ndarray:
-        """Cell values of the mobility at time t, evaluated and checked at each call."""
-        return _checked(self.mobility.on_grid(self.grid, t), f"mobility at t = {t}")
+        """Cell values of the mobility at time t, evaluated and checked at each call.
+
+        A value that overflows (sin(10 t) of the standard mobility at t ~ 1e308)
+        is reported by the check, not by a numpy warning.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = self.mobility.on_grid(self.grid, t)
+        return _checked(values, f"mobility at t = {t}")
 
 
 @dataclass(frozen=True)

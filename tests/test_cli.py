@@ -160,6 +160,8 @@ def test_dimension_limited_preset_is_a_usage_error(tmp_path, capsys):
         ["--name", "a/b"],
         ["--name", "a\tb"],
         ["--name", "caf\udce9"],  # an undecodable byte of argv
+        ["--name", "a" * 300],  # <name>_periodic_trace.csv would exceed 255 bytes
+        ["--name", "\u00e9" * 119],  # 238 bytes in UTF-8, two more than a name may take
         ["--fit-transient-frac", "1.0"],
         ["--fit-floor", "-1"],
         ["--fit-floor", "nan"],
@@ -298,6 +300,36 @@ def test_non_finite_newton_residual_exits_1_with_one_line(tmp_path, capsys):
     assert out == ""
     assert err.startswith("solver failure: step 1 (t = 1e+300): non-finite Newton residual")
     assert err.count("\n") == 1
+
+
+def test_longest_name_the_file_system_allows_runs(tmp_path, capsys):
+    # 236 bytes in UTF-8 make <name>_periodic_trace.csv 255 bytes long.
+    name = "\u00e9" * 118
+    code, _, err = run_cli(capsys, [
+        "run", "--name", name, "--n-cells", "8", "--n-steps", "2", "--boundary", "both",
+        "--out", str(tmp_path),
+    ])
+    assert code == 0, err
+    assert (tmp_path / f"{name}_periodic_trace.csv").is_file()
+
+
+def test_mobility_that_overflows_at_t_final_exits_2_before_any_run(
+    tmp_path, capsys, monkeypatch
+):
+    # sin(10 t) of the standard mobility overflows to sin(inf) = NaN; the
+    # run is refused in one line, with no numpy warning.
+    runs = []
+    monkeypatch.setattr(cli, "run", lambda *args, **kwargs: runs.append(args))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, [
+            "run", "--t-final", "1e308", "--n-steps", "1", "--n-cells", "8",
+            "--out", str(tmp_path),
+        ])
+    assert code == 2
+    assert out == ""
+    assert err == "error: mobility at t = 1e+308 must be positive and finite on the grid\n"
+    assert runs == []
 
 
 def test_overflowing_bicgstab_falls_back_and_exits_1_with_one_line(tmp_path, capsys):

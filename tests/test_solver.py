@@ -854,11 +854,30 @@ def test_nonlinear_3d_runs_loosen_only_updates_that_are_not_a_steps_last(
 ):
     steps = _preset_solves_by_step(monkeypatch, "fig-fe-3d-coarse-DM", boundary)
     assert len(steps) == 5
+    # Nothing is measured before the run's first update: it starts at the ceiling.
+    first_rtol, first_floor = steps[0][0]
+    assert first_rtol == 0.1 > first_floor
     for step in steps:
         last_rtol, last_floor = step[-1]
         assert last_rtol == last_floor
         assert all(rtol >= floor for rtol, floor in step)
     assert sum(rtol > floor for step in steps for rtol, floor in step) >= 1
+
+
+@pytest.mark.parametrize("boundary", [Boundary.PERIODIC, Boundary.NOFLUX])
+def test_a_nonlinear_3d_step_starts_at_the_forcing_ceiling(monkeypatch, boundary):
+    # Each backward_euler_step solves through a new system, which has
+    # measured nothing yet; its last update is still solved at the floor.
+    solves = _record_solves(monkeypatch)
+    grid = build_grid(3, 8, boundary)
+    f0 = gaussian_start(grid, 0.08)
+    config = SolverConfig(t_final=0.05, n_steps=1)
+    backward_euler_step(f0, build_parameter_set(3, "D:single", 8), 0.05, 0.05, config)
+    rtols = [rtol for rtol, _rn, _f, _x in solves]
+    floors = [_forcing_floor(config, f0.values, rn) for _r, rn, _f, _x in solves]
+    assert len(solves) >= 2
+    assert rtols[0] == 0.1 > floors[0]
+    assert rtols[-1] == floors[-1]
 
 
 @pytest.mark.parametrize("boundary", [Boundary.PERIODIC, Boundary.NOFLUX])

@@ -6,13 +6,14 @@ Each case runs ``solver.run`` from ``preset_gaussian_ic(dim, variance)``
 (no tail floor) with ``D:single`` or ``D:multi`` on a periodic or no-flux
 grid, for every cell count, variance and horizon of its dimension below.
 The output is a JSON list with one record per case: the case, its outcome
-(``ok``, ``NonConvergence`` or ``PositivityLoss``), its wall seconds and
-its number of SuperLU (``splu``) calls: factorizations in 1D and 2D,
-fallbacks from BiCGSTAB in 3D; for ``ok`` runs also the mass drift,
-max |mass - mass_0|, and the largest rise of F between consecutive steps
-(negative when F fell at every step).  A summary line per dimension goes
-to stdout, with the total of ``splu`` calls and the number of finishing
-runs that made any.
+(``ok``, ``NonConvergence`` or ``PositivityLoss``), its wall seconds, its
+number of SuperLU (``splu``) calls: factorizations in 1D and 2D,
+fallbacks from BiCGSTAB in 3D, and its number of BiCGSTAB iterations
+(3D only); for ``ok`` runs also the mass drift, max |mass - mass_0|, and
+the largest rise of F between consecutive steps (negative when F fell at
+every step).  A summary line per dimension goes to stdout, with the
+totals of ``splu`` calls and BiCGSTAB iterations and the number of
+finishing runs that made any ``splu`` call.
 
 The sweep measures; it is not a gate, and its cases are fixed: change
 them only with a CHANGES.md entry, never to make a change look better.
@@ -46,19 +47,30 @@ BOUNDARIES = (Boundary.PERIODIC, Boundary.NOFLUX)
 
 
 @contextlib.contextmanager
-def counting_splu():
-    """Count, in the yielded one-item list, the solver's ``splu`` calls inside the block."""
-    calls, inner = [0], fpflow.solver.splu
+def counting_solves():
+    """Count the solver's ``splu`` calls and BiCGSTAB iterations inside the block.
 
-    def counted(*args, **kwargs):
-        calls[0] += 1
-        return inner(*args, **kwargs)
+    Yields a dict with the keys ``splu_calls`` and ``bicgstab_iterations``
+    that fills as the block runs.
+    """
+    counts = {"splu_calls": 0, "bicgstab_iterations": 0}
+    splu, bicgstab = fpflow.solver.splu, fpflow.solver.bicgstab
 
-    fpflow.solver.splu = counted
+    def counted_splu(*args, **kwargs):
+        counts["splu_calls"] += 1
+        return splu(*args, **kwargs)
+
+    def counted_bicgstab(*args, **kwargs):
+        def callback(_xk):
+            counts["bicgstab_iterations"] += 1
+
+        return bicgstab(*args, callback=callback, **kwargs)
+
+    fpflow.solver.splu, fpflow.solver.bicgstab = counted_splu, counted_bicgstab
     try:
-        yield calls
+        yield counts
     finally:
-        fpflow.solver.splu = inner
+        fpflow.solver.splu, fpflow.solver.bicgstab = splu, bicgstab
 
 
 def run_case(dim: int, n_cells: int, variance: float, t_final: float, n_steps: int,
@@ -71,17 +83,17 @@ def run_case(dim: int, n_cells: int, variance: float, t_final: float, n_steps: i
     params = build_parameter_set(dim, diffusion, n_cells)
     config = SolverConfig(t_final=t_final, n_steps=n_steps)
     t0 = time.perf_counter()
-    with counting_splu() as splu_calls:
+    with counting_solves() as counts:
         try:
             _final, trace = run(f0, params, config)
         except (NonConvergence, PositivityLoss) as exc:
             record.update(outcome=type(exc).__name__, seconds=time.perf_counter() - t0,
-                          splu_calls=splu_calls[0], message=str(exc))
+                          **counts, message=str(exc))
             return record
     record.update(
         outcome="ok",
         seconds=time.perf_counter() - t0,
-        splu_calls=splu_calls[0],
+        **counts,
         mass_drift=float(np.max(np.abs(trace.mass - trace.mass[0]))),
         max_F_rise=float(np.max(np.diff(trace.F))),
     )
@@ -106,7 +118,8 @@ def sweep(dims) -> list[dict]:
             f"{sum(r['seconds'] for r in failed):.1f} s in failing runs, "
             f"{sum(r['seconds'] for r in finished):.1f} s in the others; "
             f"{sum(r['splu_calls'] for r in done)} splu calls, "
-            f"{sum(r['splu_calls'] > 0 for r in finished)} finishing runs made any",
+            f"{sum(r['splu_calls'] > 0 for r in finished)} finishing runs made any; "
+            f"{sum(r['bicgstab_iterations'] for r in done)} BiCGSTAB iterations",
             flush=True,
         )
     return records
