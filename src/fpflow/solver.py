@@ -63,8 +63,8 @@ grid where Jacobi's grows like n.  Each piece has a reason:
   factor of the model's slowest non-constant mode (lam_1 the smallest
   nonzero eigenvalue of T), in place of 1.  The factor is exact at s = 0,
   lies between N / sum d (the mean Jacobi factor) and 1 on ordinary steps,
-  and falls like 1/s with the neighbouring modes, so a step of dt = 1e300
-  still ends on BiCGSTAB; with 1 it takes thousands of iterations.  On
+  and falls like 1/s with the neighbouring modes, so BiCGSTAB converges on
+  a step of dt = 1e300; with 1 it takes thousands of iterations.  On
   the pinned fig-fe-3d-DM no-flux run, with the weight w = min(1, f /
   mean f), N / sum d took 205 Krylov iterations and 1 / (1 + s lam_1) 147.
 - M^-1 r is a Jacobi sweep z = r / d, the correction z += w F(r - A z)
@@ -84,7 +84,13 @@ grid where Jacobi's grows like n.  Each piece has a reason:
   tails: the steep-well step is off by at most 9.9e-11 relative at a
   tenth, 1.3e-10 at 0.03 and 1.1e-9 at 0.01.
 
-Three details make the Krylov update as good as the direct one:
+BiCGSTAB stops after N iterations, N the number of cells, a tenth of
+scipy's default.  A Krylov solve that fails (no convergence within N, a
+breakdown, or a non-finite x) fails its Newton step with
+:class:`NonConvergence`, as an inexact Newton method with capped inner
+iterations does (Kelley, Iterative Methods for Linear and Nonlinear
+Equations, SIAM 1995, ch. 6); 3D has no direct fallback.  Two details
+make the Krylov update as good as the direct one:
 
 - The right-hand side is divided by its max-norm before the call and the
   solution multiplied back after it.  BiCGSTAB's breakdown thresholds are
@@ -118,13 +124,6 @@ Three details make the Krylov update as good as the direct one:
   but 11 updates in place of 10).  After a damped update the floor returns
   as well: loosening there made the coarse 3D D:single runs fail to
   converge.
-- Should BiCGSTAB fail (nonzero ``info``: a breakdown, or no convergence
-  within N iterations; or an iterate that overflows to a non-finite x),
-  the step falls back to the direct solve.  N, the number of cells, is a
-  tenth of scipy's default cap of 10 N, the inner-iteration cap of an
-  inexact Newton method (Kelley, Iterative Methods for Linear and
-  Nonlinear Equations, SIAM 1995, ch. 6): converging solves take far
-  fewer, and a solve that cannot converge reaches the fallback sooner.
 
 On both paths the update's mass error is then removed exactly.  Every
 Jacobian column sums to one, so the exact update carries the mass of the
@@ -142,13 +141,12 @@ solve reads.  It fills a once-built sparsity pattern from dJ/df by one
 mat-vec of a sparse assembly operator, which adds each slot's entries in
 the order a COO conversion would, into one new array per update.  In 3D
 the matrix is CSR, whose row-order mat-vec suits BiCGSTAB, its
-preconditioner and rho; a fallback hands SuperLU its CSC conversion.  In
-1D and 2D it is CSC, which SuperLU factors as it is.  The face
-coefficient Dbar / (pibar h) depends on the step's time alone, so each
-step evaluates the mobility once and forms it once, before its first
-Newton iteration.  Each flux evaluation keeps the face terms the
-derivatives reuse, and dJ/df is formed only after the residual test has
-failed, for the update that follows: the iteration that stops forms
+preconditioner and rho.  In 1D and 2D it is CSC, which SuperLU factors as
+it is.  The face coefficient Dbar / (pibar h) depends on the step's time
+alone, so each step evaluates the mobility once and forms it once, before
+its first Newton iteration.  Each flux evaluation keeps the face terms
+the derivatives reuse, and dJ/df is formed only after the residual test
+has failed, for the update that follows: the iteration that stops forms
 none.  One :func:`run` (or one :func:`backward_euler_step`) solves its
 Newton systems through one object, which keeps its last SuperLU
 factorization with the values it factored.  When the next matrix to
@@ -364,9 +362,9 @@ def assemble_flux(f: ScalarField, params: ParameterSet, t: float) -> FaceField:
 class _NewtonSystem:
     """Solves the Newton systems of one run or step, keeping the last factorization.
 
-    It keeps its last SuperLU factorization with the values it factored; a
-    new Jacobian whose values are bitwise equal to those is that matrix,
-    so the factors are reused.  In 3D it also keeps the measured
+    In 1D and 2D it keeps its last SuperLU factorization with the values it
+    factored; a new Jacobian whose values are bitwise equal to those is that
+    matrix, so the factors are reused.  In 3D it keeps the measured
     nonlinearity C that sets the forcing term.  It lives in the local state
     of one :func:`run` or :func:`backward_euler_step` call, never on the
     shared :class:`~fpflow.params.Discretization`.
@@ -445,15 +443,13 @@ class _NewtonSystem:
     def solve(self, jac: sp.spmatrix, rhs: np.ndarray, f: np.ndarray, rtol: float) -> np.ndarray:
         """Solve jac x = rhs for the Newton matrix ``jac`` on the Jacobian pattern.
 
-        BiCGSTAB to ``rtol`` within N iterations in 3D; SuperLU otherwise
-        or when BiCGSTAB fails or returns a non-finite x.  The returned
-        update carries the exact mass of ``rhs``; in 3D its residual
-        max|rhs - A x| is kept as ``rho``.  A singular system raises
-        :class:`NonConvergence`.
+        BiCGSTAB to ``rtol`` within N iterations in 3D, SuperLU in 1D and
+        2D.  The returned update carries the exact mass of ``rhs``; in 3D
+        its residual max|rhs - A x| is kept as ``rho``.  A failed Krylov
+        solve or a singular system raises :class:`NonConvergence`.
         """
         disc = self._disc
         krylov = disc.grid.dim == 3
-        solved = False
         if krylov:
             norm = float(np.max(np.abs(rhs)))
             # An iterate that overflows is a failed solve, not a warning.
@@ -463,12 +459,18 @@ class _NewtonSystem:
                     jac, rhs / norm, rtol=rtol, atol=0.0, maxiter=disc.grid.n_total, M=m
                 )
                 x *= norm
-            solved = info == 0 and bool(np.all(np.isfinite(x)))
-        if not solved:
+            if not np.all(np.isfinite(x)):
+                raise NonConvergence("BiCGSTAB returned a non-finite update")
+            if info != 0:
+                raise NonConvergence(
+                    f"BiCGSTAB did not converge within {info} iterations (rtol {rtol:.1e})"
+                    if info > 0 else f"BiCGSTAB breakdown (info {info})"
+                )
+        else:
             if self._lu is None or not np.array_equal(jac.data, self._factored):
                 self._lu = None  # never hold two factorizations
                 try:
-                    self._lu = splu(jac.tocsc())
+                    self._lu = splu(jac)
                 except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
                     raise NonConvergence(f"singular Newton system ({exc})") from None
                 self._factored = jac.data
@@ -481,13 +483,10 @@ class _NewtonSystem:
     def forcing(self, rnorm: float, tol: float) -> float:
         """BiCGSTAB's rtol for the update of a residual of max-norm ``rnorm``.
 
-        The floor leaves 1% of the Newton tolerance; a looser rtol = C |R|
-        only where C |R|^2, the residual the update leaves by nonlinearity
-        alone, is over ten times the tolerance.  Before any update has been
-        measured, a nonlinear flux starts at the ceiling 0.1 where 0.1 |R|
-        is over ten times the tolerance, so that the loose update cannot end
-        its step.  A linear flux (D constant) keeps the floor: its C is 0,
-        so its first update may well end the step.
+        The floor leaves 1% of the Newton tolerance.  It loosens to C |R|
+        where C |R|^2 is over ten times the tolerance, and before any update
+        is measured a nonlinear flux starts at the ceiling 0.1 where 0.1 |R|
+        is; the module note gives the reasons.
         """
         if self.rho is None and self._nonlinear and 0.1 * rnorm > 10.0 * tol:
             return 0.1
@@ -557,15 +556,15 @@ def _newton_solve(
 
         jac = disc.jacobian(*_face_derivatives(disc, quantities), c)
         rtol = system.forcing(rnorm, tol_abs)
-        delta = system.solve(jac, -residual.ravel(), f.ravel(), rtol).reshape(grid.shape)
-
-        lam = 1.0
-        while np.any(f + lam * delta <= 0.0):
-            lam *= 0.5
-            if lam < 2.0**-20:
-                raise PositivityLoss(
-                    "Newton damping reached 2^-20 without a positive iterate"
-                )
+        try:
+            delta = system.solve(jac, -residual.ravel(), f.ravel(), rtol).reshape(grid.shape)
+            lam = 1.0
+            while np.any(f + lam * delta <= 0.0):
+                lam *= 0.5
+                if lam < 2.0**-20:
+                    raise PositivityLoss("Newton damping reached 2^-20 without a positive iterate")
+        except (NonConvergence, PositivityLoss) as exc:
+            raise type(exc)(f"{exc} at Newton iteration {it}") from None
         f = f + lam * delta
     raise NonConvergence(f"Newton residual {rnorm:.3e}")  # pragma: no cover
 

@@ -332,9 +332,10 @@ def test_mobility_that_overflows_at_t_final_exits_2_before_any_run(
     assert runs == []
 
 
-def test_overflowing_bicgstab_falls_back_and_exits_1_with_one_line(tmp_path, capsys):
-    # BiCGSTAB's dot products overflow in this run's first step; the
-    # overflow is a failed Krylov solve, not a numpy warning.
+def test_failed_bicgstab_exits_1_with_one_line(tmp_path, capsys):
+    # A Krylov solve in this run's first step does not converge within N
+    # iterations.  It fails the step in one line, with no numpy warning
+    # (BiCGSTAB iterates that overflow are failed solves too).
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run_cli(capsys, [
@@ -345,6 +346,7 @@ def test_overflowing_bicgstab_falls_back_and_exits_1_with_one_line(tmp_path, cap
     assert code == 1
     assert out == ""
     assert err.startswith("solver failure: step 1 (t = 0.1): ") and err.count("\n") == 1
+    assert "BiCGSTAB" in err
 
 
 # ----------------------------------------------------------------------

@@ -18,6 +18,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import spsolve
 
 import fpflow.solver as solver_mod
 from fpflow import (
@@ -25,6 +26,7 @@ from fpflow import (
     EnergyTrace,
     NonConvergence,
     ParameterSet,
+    PositivityLoss,
     PotentialField,
     ScalarField,
     SolverConfig,
@@ -945,11 +947,16 @@ def test_separable_inverse_matches_a_dense_solve(n_cells, boundary):
         np.testing.assert_allclose(s * out, pinv @ v + v.mean() / lam1, rtol=0.0, atol=1e-12)
 
 
+def _direct_bicgstab(jac, b, **_kwargs):
+    """A stand-in for ``solver.bicgstab`` that solves exactly: the direct reference."""
+    return spsolve(jac, b), 0
+
+
 @pytest.mark.parametrize("boundary", [Boundary.PERIODIC, Boundary.NOFLUX])
 def test_3d_krylov_step_matches_the_direct_solve_in_every_cell(monkeypatch, boundary):
     # A steep well drains the Gaussian's corners to ~1e-24.  The Krylov
-    # step must resolve them as well as SuperLU does, relative to each
-    # cell, not only relative to the peak (Jacobi: 1.1e-5).
+    # step must resolve them as well as a direct solve does, relative to
+    # each cell, not only relative to the peak (Jacobi: 1.1e-5).
     n_cells, dt = 20, 0.01
     grid = build_grid(3, n_cells, boundary)
     well = PotentialField(
@@ -966,26 +973,23 @@ def test_3d_krylov_step_matches_the_direct_solve_in_every_cell(monkeypatch, boun
     config = SolverConfig(t_final=dt, n_steps=1)
     krylov = backward_euler_step(f0, pset, dt, dt, config).values
     counts = {}
-    _count_calls(
-        monkeypatch, "bicgstab", counts,
-        replacement=lambda jac, b, **_kw: (np.zeros_like(b), -10),
-    )
+    _count_calls(monkeypatch, "splu", counts)
+    _count_calls(monkeypatch, "bicgstab", counts, replacement=_direct_bicgstab)
     direct = backward_euler_step(f0, pset, dt, dt, config).values
     assert counts["bicgstab"] > 0
+    assert counts.get("splu", 0) == 0
     assert direct.min() < 1e-23
     np.testing.assert_allclose(krylov, direct, rtol=1e-8, atol=0.0)
 
 
-def test_failed_bicgstab_falls_back_to_splu(monkeypatch):
+def test_krylov_run_matches_the_direct_solve_run(monkeypatch):
     krylov_final, krylov = _coarse_3d_run()
     counts = {}
     _count_calls(monkeypatch, "splu", counts)
-    _count_calls(
-        monkeypatch, "bicgstab", counts,
-        replacement=lambda jac, b, **_kw: (np.zeros_like(b), -10),
-    )
+    _count_calls(monkeypatch, "bicgstab", counts, replacement=_direct_bicgstab)
     direct_final, direct = _coarse_3d_run()
-    assert counts["splu"] == counts["bicgstab"] > 0
+    assert counts["bicgstab"] > 0
+    assert counts.get("splu", 0) == 0
     for name in ("mass", "F", "D_dis", "f_min", "f_max"):
         np.testing.assert_allclose(
             getattr(direct, name)[-1], getattr(krylov, name)[-1], rtol=1e-9, atol=0.0
@@ -998,30 +1002,45 @@ def test_failed_bicgstab_falls_back_to_splu(monkeypatch):
     np.testing.assert_allclose(direct_final.values, krylov_final.values, rtol=1e-9)
 
 
-def test_non_finite_bicgstab_solution_falls_back_to_splu(monkeypatch):
-    # An overflowing Krylov iterate can come back with info == 0.
+# Stand-ins for a failed BiCGSTAB call, returning (x, info) as scipy's
+# does: info is maxiter when the solve did not converge, and negative on a
+# breakdown.  An overflowing Krylov iterate can come back with info == 0.
+_KRYLOV_FAILURES = {
+    "no-convergence": lambda jac, b, maxiter, **_kw: (np.zeros_like(b), maxiter),
+    "breakdown": lambda jac, b, **_kw: (np.zeros_like(b), -10),
+    "non-finite": lambda jac, b, **_kw: (np.full_like(b, np.inf), 0),
+}
+
+
+@pytest.mark.parametrize(
+    "failure, message",
+    [
+        ("no-convergence", r"BiCGSTAB did not converge within 216 iterations \(rtol 1\.0e-10\)"),
+        ("breakdown", r"BiCGSTAB breakdown \(info -10\)"),
+        ("non-finite", r"BiCGSTAB returned a non-finite update"),
+    ],
+    ids=["no-convergence", "breakdown", "non-finite"],
+)
+def test_failed_bicgstab_solve_is_a_typed_failure(monkeypatch, failure, message):
+    # 3D has no direct solve to fall back on: nothing reaches SuperLU.
     counts = {}
     _count_calls(monkeypatch, "splu", counts)
-    _count_calls(
-        monkeypatch, "bicgstab", counts,
-        replacement=lambda jac, b, **_kw: (np.full_like(b, np.inf), 0),
-    )
+    _count_calls(monkeypatch, "bicgstab", counts, replacement=_KRYLOV_FAILURES[failure])
     grid = build_grid(3, 6, Boundary.PERIODIC)
     disc = build_parameter_set(3, "D:homogeneous", 6).discretize(grid)
     n, zeros = grid.n_total, np.zeros(disc.l_idx.size)
     jac = disc.jacobian(zeros, zeros, 1.0)  # the identity
-    rhs = np.linspace(1.0, 2.0, n)
-    x = solver_mod._NewtonSystem(disc).solve(jac, rhs, np.ones(n), 1e-10)
-    assert counts == {"bicgstab": 1, "splu": 1}
-    np.testing.assert_allclose(x, rhs, rtol=1e-15)
+    with pytest.raises(NonConvergence, match=f"^{message}$"):
+        solver_mod._NewtonSystem(disc).solve(jac, np.linspace(1.0, 2.0, n), np.ones(n), 1e-10)
+    assert counts == {"bicgstab": 1}
 
 
 @pytest.mark.parametrize("dim, n_cells", [(1, 100), (3, 6)])
 def test_singular_newton_system_is_a_typed_failure(monkeypatch, dim, n_cells):
-    # Two equal rows make the system exactly singular; in 3D BiCGSTAB fails
-    # on it first (the right-hand side is not in the range).  SuperLU then
-    # finds a zero pivot, on the second solve of the same matrix too: no
-    # factorization was kept from the first.
+    # Two equal rows make the system exactly singular.  In 1D SuperLU finds
+    # a zero pivot, on the second solve of the same matrix too: no
+    # factorization was kept from the first.  In 3D BiCGSTAB breaks down on
+    # it (the right-hand side is not in the range), and nothing reaches SuperLU.
     counts = {}
     _count_calls(monkeypatch, "splu", counts)
     grid = build_grid(dim, n_cells, Boundary.PERIODIC)
@@ -1034,12 +1053,77 @@ def test_singular_newton_system_is_a_typed_failure(monkeypatch, dim, n_cells):
     rhs = np.zeros(n)
     rhs[0] = 1.0
     system = solver_mod._NewtonSystem(disc)
+    message = (
+        r"^singular Newton system \(Factor is exactly singular\)" if dim == 1
+        else r"^BiCGSTAB breakdown \(info -11\)$"
+    )
     for solves in (1, 2):
-        with pytest.raises(
-            NonConvergence, match=r"^singular Newton system \(Factor is exactly singular\)"
-        ):
+        with pytest.raises(NonConvergence, match=message):
             system.solve(jac, rhs, np.ones(n), 1e-10)
-        assert counts["splu"] == solves
+        assert counts.get("splu", 0) == (solves if dim == 1 else 0)
+
+
+def test_bicgstab_that_cannot_converge_fails_its_step_without_splu(monkeypatch):
+    # A robustness-sweep case: its first step's Krylov solves stall.  It
+    # fails at once, where a SuperLU fallback took over a second to fail.
+    counts = {}
+    _count_calls(monkeypatch, "splu", counts)
+    grid = build_grid(3, 10, Boundary.PERIODIC)
+    f0 = preset_gaussian_ic(3, variance=0.03).build(grid)
+    pset = build_parameter_set(3, "D:single", 10)
+    with pytest.raises(
+        NonConvergence,
+        match=r"^step 1 \(t = 0\.05\): BiCGSTAB did not converge within 1000 iterations",
+    ):
+        run(f0, pset, SolverConfig(t_final=0.2, n_steps=4))
+    assert counts.get("splu", 0) == 0
+
+
+# What run() raises: the step, then the failure and its Newton iteration.
+_AT_STEP_AND_ITERATION = r"^step \d+ \(t = [0-9.e+-]+\): %s at Newton iteration \d+$"
+
+
+@pytest.mark.parametrize(
+    "failure, message",
+    [
+        ("no-convergence", r"BiCGSTAB did not converge within 1000 iterations \(rtol [0-9.e+-]+\)"),
+        ("breakdown", r"BiCGSTAB breakdown \(info -10\)"),
+        ("non-finite", r"BiCGSTAB returned a non-finite update"),
+    ],
+    ids=["no-convergence", "breakdown", "non-finite"],
+)
+def test_failed_bicgstab_names_its_step_and_newton_iteration(monkeypatch, failure, message):
+    monkeypatch.setattr(solver_mod, "bicgstab", _KRYLOV_FAILURES[failure])
+    with pytest.raises(NonConvergence, match=_AT_STEP_AND_ITERATION % message):
+        _coarse_3d_run()
+
+
+def test_positivity_loss_names_its_step_and_newton_iteration():
+    # A narrow Gaussian under D:multi no-flux: damping finds no positive iterate.
+    grid = build_grid(1, 24, Boundary.NOFLUX)
+    f0 = preset_gaussian_ic(1, variance=0.005).build(grid)
+    with pytest.raises(
+        PositivityLoss,
+        match=_AT_STEP_AND_ITERATION % r"Newton damping reached 2\^-20 without a positive iterate",
+    ):
+        run(f0, build_parameter_set(1, "D:multi", 24), SolverConfig(t_final=0.5, n_steps=10))
+
+
+def test_singular_newton_system_names_its_step_and_newton_iteration(monkeypatch):
+    # SuperLU is handed each Newton matrix with its first row copied into its second.
+    def singular_splu(jac, _inner=solver_mod.splu):
+        rows = jac.tolil()
+        rows[1] = rows[0]
+        return _inner(rows.tocsc())
+
+    monkeypatch.setattr(solver_mod, "splu", singular_splu)
+    grid = build_grid(1, 24, Boundary.PERIODIC)
+    pset = build_parameter_set(1, "D:homogeneous", 24)
+    with pytest.raises(
+        NonConvergence,
+        match=_AT_STEP_AND_ITERATION % r"singular Newton system \(Factor is exactly singular\)",
+    ):
+        run(gaussian_start(grid), pset, SolverConfig(t_final=0.3, n_steps=3))
 
 
 @pytest.mark.parametrize("dim, n_cells", [(1, 100), (3, 6)])

@@ -6,14 +6,15 @@ Each case runs ``solver.run`` from ``preset_gaussian_ic(dim, variance)``
 (no tail floor) with ``D:single`` or ``D:multi`` on a periodic or no-flux
 grid, for every cell count, variance and horizon of its dimension below.
 The output is a JSON list with one record per case: the case, its outcome
-(``ok``, ``NonConvergence`` or ``PositivityLoss``), its wall seconds, its
-number of SuperLU (``splu``) calls: factorizations in 1D and 2D,
-fallbacks from BiCGSTAB in 3D, and its number of BiCGSTAB iterations
-(3D only); for ``ok`` runs also the mass drift, max |mass - mass_0|, and
-the largest rise of F between consecutive steps (negative when F fell at
-every step).  A summary line per dimension goes to stdout, with the
-totals of ``splu`` calls and BiCGSTAB iterations and the number of
-finishing runs that made any ``splu`` call.
+(``ok``, or ``NonConvergence`` or ``PositivityLoss`` with the error's
+message), its wall seconds, its number of SuperLU (``splu``)
+factorizations (1D and 2D; always 0 in 3D, which solves by BiCGSTAB
+alone), and its number of BiCGSTAB iterations (3D only); for ``ok``
+runs also the mass drift, max |mass - mass_0|, and the largest rise of F
+between consecutive steps (negative when F fell at every step).  A
+summary line per dimension goes to stdout, with the totals of ``splu``
+calls and BiCGSTAB iterations and the number of finishing runs that made
+any ``splu`` call.
 
 The sweep measures; it is not a gate, and its cases are fixed: change
 them only with a CHANGES.md entry, never to make a change look better.
