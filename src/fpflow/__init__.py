@@ -51,7 +51,6 @@ from .params import (
     preset_mobility,
     preset_mobility_unit,
     preset_potential,
-    preset_potential_1d,
     preset_potential_quadratic,
 )
 from .solver import (
@@ -109,7 +108,6 @@ __all__ = [
     "preset_mobility",
     "preset_mobility_unit",
     "preset_potential",
-    "preset_potential_1d",
     "preset_potential_quadratic",
     "reference_evolve",
     "refined_functional",

@@ -14,11 +14,13 @@ Experiments are described by a flat key/value vocabulary, the fields of
 which overrides the preset, which overrides the field defaults.
 
 Each value is checked once, by the object that uses it: the grid checks
-dim and n-cells, :class:`~fpflow.solver.SolverConfig` checks n-steps,
-t-final and record-every, and the :class:`~fpflow.params.Discretization`
-checks D positive on the grid, and pi there at t-final.  A bad value
-exits with status 2 and one line before its run starts; ``compare``
-builds every experiment before it runs any.
+dim and n-cells, :class:`~fpflow.solver.SolverConfig` checks n-steps
+and t-final, and the :class:`~fpflow.params.Discretization` checks D
+positive on the grid, and pi there at t-final.  A bad value exits with
+status 2 and one line before its run starts; ``compare`` builds every
+experiment before it runs any.  A run that fails exits with status 1 and
+one line that names its output label: the experiment name, suffixed by
+the boundary under ``both``.
 """
 
 from __future__ import annotations
@@ -64,7 +66,6 @@ class ExperimentSpec:
     mobility_ref: str = "pi:standard"
     ic_ref: str = "ic:gauss"
     output_dir: Path = Path(".")
-    record_every: int = 1
     fit_transient_frac: float = 0.1
     fit_floor: float = 1e-12
 
@@ -232,9 +233,7 @@ def _materialize(spec: ExperimentSpec, boundary: str):
     bc = Boundary.PERIODIC if boundary == "periodic" else Boundary.NOFLUX
     try:
         grid = build_grid(spec.dim, spec.n_cells, bc)
-        config = SolverConfig(
-            t_final=spec.t_final, n_steps=spec.n_steps, record_every=spec.record_every
-        )
+        config = SolverConfig(t_final=spec.t_final, n_steps=spec.n_steps)
         pset = params_mod.build_parameter_set(
             spec.dim, spec.diffusion_ref, spec.n_cells, mobility_ref=spec.mobility_ref,
             potential_ref=spec.potential_ref, name=spec.name,
@@ -276,11 +275,19 @@ def _write_text(path: Path, text: str) -> None:
     path.write_text(text, encoding="ascii", newline="")
 
 
+def _run_labelled(label: str, f0, pset, config) -> EnergyTrace:
+    """The trace of :func:`~fpflow.solver.run`; a solver failure names ``label``."""
+    try:
+        return run(f0, pset, config)[1]
+    except (NonConvergence, PositivityLoss) as exc:
+        raise type(exc)(f"{label}: {exc}") from None
+
+
 def cmd_run(spec: ExperimentSpec) -> int:
     for suffix, boundary in _expand_boundaries(spec):
         grid, pset, f0, config = _materialize(spec, boundary)
-        final, trace = run(f0, pset, config)
         label = spec.name + suffix
+        trace = _run_labelled(label, f0, pset, config)
         base = spec.output_dir / label
         spec.output_dir.mkdir(parents=True, exist_ok=True)
         trace.to_csv(str(base) + "_trace.csv")
@@ -342,11 +349,11 @@ def cmd_compare(specs: list[ExperimentSpec]) -> int:
         raise UsageError("compare experiments must have distinct names")
 
     # Every member is checked before any of them runs.
-    jobs = [_materialize(s, s.boundary) for s in specs]
+    jobs = [(s.name, _materialize(s, s.boundary)) for s in specs]
 
     def worker(job) -> EnergyTrace:
-        _grid, pset, f0, config = job
-        return run(f0, pset, config)[1]
+        name, (_grid, pset, f0, config) = job
+        return _run_labelled(name, f0, pset, config)
 
     with ThreadPoolExecutor(max_workers=_max_workers(len(specs))) as pool:
         traces = list(pool.map(worker, jobs))
@@ -414,7 +421,6 @@ def _add_spec_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mobility", help="mobility preset reference")
     p.add_argument("--ic", help="initial-condition preset reference")
     p.add_argument("--out", help="output directory (default: current)")
-    p.add_argument("--record-every", type=int, dest="record_every")
     p.add_argument(
         "--fit-transient-frac", type=float, dest="fit_transient_frac",
         help="fraction of leading rows excluded from decay fits",

@@ -355,13 +355,6 @@ def _tensor_potential(ks: Sequence[int], name: str) -> PotentialField:
     )
 
 
-def preset_potential_1d(k_p: int = 2) -> PotentialField:
-    """1D well phi(x) = 1 + sin^2(k_p pi x / 2) / 4."""
-    if k_p < 1:
-        raise ValueError("mode number k_p must be a positive integer")
-    return _tensor_potential((k_p,), name=f"phi1d:k{k_p}")
-
-
 def preset_potential(dim: int) -> PotentialField:
     """Dimension-matched product well: k = (2,), (1, 2), (1, 2, 3)."""
     ks = {1: (2,), 2: (1, 2), 3: (1, 2, 3)}[dim]
@@ -636,7 +629,6 @@ class PresetNotFound(KeyError):
 
 _POTENTIALS = {
     "phi:standard": lambda dim, n: preset_potential(dim),
-    "phi1d:k2": lambda dim, n: _require_dim(1, dim, "phi1d:k2") or preset_potential_1d(2),
     "phi:quad": lambda dim, n: preset_potential_quadratic(dim),
 }
 

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 import fpflow.cli as cli
-from fpflow import checks
+import fpflow.solver as solver_mod
+from fpflow import Boundary, checks
 from fpflow.cli import (
     _EXPERIMENTS,
     ExperimentSpec,
@@ -103,16 +104,6 @@ def test_run_non_ascii_name_writes_an_ascii_svg(tmp_path, capsys):
     assert "café: " in out
 
 
-def test_run_record_every_thins_the_trace(tmp_path, capsys):
-    code, _, _ = run_cli(capsys, [
-        "run", "--n-cells", "24", "--n-steps", "25", "--t-final", "0.8",
-        "--record-every", "5", "--out", str(tmp_path),
-    ])
-    assert code == 0
-    trace = EnergyTrace.from_csv(tmp_path / "custom_trace.csv")
-    np.testing.assert_allclose(trace.t, [0.0, *np.arange(5, 26, 5) * 0.032], rtol=1e-12)
-
-
 def test_run_from_equilibrium_reports_skipped_fit(tmp_path, capsys):
     code, out, _ = run_cli(capsys, [
         "run", "--n-cells", "24", "--n-steps", "25", "--t-final", "0.8",
@@ -143,10 +134,10 @@ def test_unknown_coefficient_reference_is_a_usage_error(tmp_path, capsys):
 
 def test_dimension_limited_preset_is_a_usage_error(tmp_path, capsys):
     code, _, err = run_cli(capsys, [
-        "run", "--dim", "2", "--potential", "phi1d:k2", "--out", str(tmp_path),
+        "run", "--dim", "2", "--diffusion", "D:multi3d-coarse", "--out", str(tmp_path),
     ])
     assert code == 2
-    assert "1D only" in err
+    assert "3D only" in err
 
 
 @pytest.mark.parametrize(
@@ -168,7 +159,6 @@ def test_dimension_limited_preset_is_a_usage_error(tmp_path, capsys):
         ["--ic", "ic:gauss-vnan"],
         ["--ic", "ic:gauss-vinf"],
         ["--ic", "ic:gauss-v1e-300"],
-        ["--record-every", "0"],
     ],
 )
 def test_invalid_spec_values_exit_2(tmp_path, capsys, flags):
@@ -184,7 +174,6 @@ LIBRARY_CHECKED_SAMPLES = [
     ("--n-cells", "n-cells", "1"),
     ("--n-steps", "n-steps", "0"),
     ("--t-final", "t-final", "inf"),
-    ("--record-every", "record-every", "0"),
 ]
 
 
@@ -298,7 +287,7 @@ def test_non_finite_newton_residual_exits_1_with_one_line(tmp_path, capsys):
     assert caught == []
     assert code == 1
     assert out == ""
-    assert err.startswith("solver failure: step 1 (t = 1e+300): non-finite Newton residual")
+    assert err.startswith("solver failure: custom: step 1 (t = 1e+300): non-finite Newton residual")
     assert err.count("\n") == 1
 
 
@@ -345,8 +334,32 @@ def test_failed_bicgstab_exits_1_with_one_line(tmp_path, capsys):
         ])
     assert code == 1
     assert out == ""
-    assert err.startswith("solver failure: step 1 (t = 0.1): ") and err.count("\n") == 1
+    assert err.startswith("solver failure: custom: step 1 (t = 0.1): ") and err.count("\n") == 1
     assert "BiCGSTAB" in err
+
+
+def test_solver_failure_names_the_boundary_that_failed(tmp_path, capsys, monkeypatch):
+    # Under --boundary both the periodic run finishes; the no-flux run is
+    # starved of Newton iterations and its failure names it.
+    real_run = cli.run
+
+    def starve_noflux(f0, pset, config):
+        if f0.grid.boundary is Boundary.NOFLUX:
+            monkeypatch.setattr(solver_mod, "_NEWTON_MAX_ITERS", 1)
+        return real_run(f0, pset, config)
+
+    monkeypatch.setattr(cli, "run", starve_noflux)
+    code, out, err = run_cli(capsys, [
+        "run", "fig-fe-1d-D1", "--n-cells", "40", "--n-steps", "2", "--t-final", "0.1",
+        "--boundary", "both", "--out", str(tmp_path),
+    ])
+    assert code == 1
+    assert out.startswith("fig-fe-1d-D1_periodic: ")
+    assert (tmp_path / "fig-fe-1d-D1_periodic_trace.csv").is_file()
+    assert err.startswith(
+        "solver failure: fig-fe-1d-D1_noflux: step 1 (t = 0.05): Newton residual"
+    )
+    assert err.count("\n") == 1
 
 
 # ----------------------------------------------------------------------
@@ -401,7 +414,6 @@ SPEC_KEY_SAMPLES = {
     "mobility_ref": ("--mobility", "mobility", "pi:unit"),
     "ic_ref": ("--ic", "ic", "ic:eq"),
     "output_dir": ("--out", "out", "results"),
-    "record_every": ("--record-every", "record-every", "3"),
     "fit_transient_frac": ("--fit-transient-frac", "fit_transient_frac", "0.25"),
     "fit_floor": ("--fit-floor", "fit-floor", "1e-9"),
 }
@@ -522,6 +534,21 @@ def test_compare_writes_rate_table_and_overlay(tmp_path, capsys):
     assert out.count("rate=") == 2
 
 
+def test_compare_solver_failure_names_the_member_that_failed(tmp_path, capsys, monkeypatch):
+    # One Newton update solves the linear homogeneous member's step; the
+    # single-mode member needs more and fails.
+    monkeypatch.setattr(solver_mod, "_NEWTON_MAX_ITERS", 1)
+    code, out, err = run_cli(capsys, [
+        "compare", "fig-fe-1d-hom", "fig-fe-1d-D1",
+        "--n-cells", "40", "--n-steps", "2", "--t-final", "0.1", "--out", str(tmp_path),
+    ])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("solver failure: fig-fe-1d-D1: step 1 (t = 0.05): Newton residual")
+    assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_compare_arity_and_grid_checks(tmp_path, capsys):
     code, _, err = run_cli(capsys, ["compare", "fig-fe-1d-hom", "--out", str(tmp_path)])
     assert code == 2 and "at least two" in err
@@ -583,6 +610,20 @@ def test_experiment_preset_inventory():
     for name, fields in _EXPERIMENTS.items():
         assert fields["dim"] in (1, 2, 3), name
         assert fields["n_cells"] >= 2, name
+
+
+def test_every_spec_field_is_set_by_some_experiment():
+    # A field that every registered experiment leaves at its default is a
+    # setting no used path needs.  The name and output directory are not
+    # experiment settings.
+    default = ExperimentSpec()
+    unset = [
+        f.name for f in fields(ExperimentSpec)
+        if f.name not in ("name", "output_dir")
+        and all(row.get(f.name, getattr(default, f.name)) == getattr(default, f.name)
+                for row in _EXPERIMENTS.values())
+    ]
+    assert unset == []
 
 
 def test_unsuffixed_aliases_match_their_homogeneous_panel():

@@ -27,7 +27,6 @@ from fpflow import (
     preset_mobility,
     preset_mobility_unit,
     preset_potential,
-    preset_potential_1d,
     preset_potential_quadratic,
     run,
 )
@@ -70,7 +69,7 @@ def check_gradient(evaluate, gradient, coords, extra=()):
 
 
 def test_potential_1d_values():
-    phi = preset_potential_1d(2)
+    phi = preset_potential(1)
     assert phi.name == "phi1d:k2"
     x = np.array([0.0, 0.25, 0.5])
     np.testing.assert_allclose(
@@ -79,11 +78,6 @@ def test_potential_1d_values():
     np.testing.assert_allclose(
         phi.gradient[0](x), (np.pi / 4.0) * np.sin(2.0 * np.pi * x), rtol=1e-14
     )
-
-
-def test_potential_1d_rejects_bad_mode():
-    with pytest.raises(ValueError):
-        preset_potential_1d(0)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -314,13 +308,13 @@ def test_run_evaluates_static_coefficients_once_and_mobility_once_per_step_and_r
     grid = build_grid(1, 32, Boundary.PERIODIC)
     pset, calls = counting(build_parameter_set(1, "D:single", 32))
     f0 = preset_gaussian_ic(1, variance=0.05).build(grid)
-    config = SolverConfig(t_final=0.5, n_steps=20, record_every=4)
+    config = SolverConfig(t_final=0.5, n_steps=20)
     run(f0, pset, config)
     assert len(calls["potential"]) == 1
     assert len(calls["diffusion"]) == 1
     dt = config.t_final / config.n_steps
     steps = [k * dt for k in range(1, 21)]
-    rows = [k * dt for k in range(0, 21, 4)]
+    rows = [k * dt for k in range(0, 21)]
     assert sorted(args[-1] for args in calls["mobility"]) == sorted(steps + rows)
 
 
@@ -505,8 +499,6 @@ def test_registry_unknown_names_raise_with_candidates():
 
 
 def test_registry_dimension_guards():
-    with pytest.raises(ValueError, match="1D only"):
-        get_potential("phi1d:k2", 2, 10)
     with pytest.raises(ValueError, match="3D only"):
         get_diffusion("D:multi3d-coarse", 2, 10)
 

@@ -65,14 +65,8 @@ def gaussian_start(grid, variance=0.05, floor_rel=1e-10):
         dict(t_final=np.inf, n_steps=1),
         dict(t_final=np.nan, n_steps=1),
         dict(t_final=1.0, n_steps=0),
-        dict(t_final=1.0, n_steps=1, newton_tol=0.0),
-        dict(t_final=1.0, n_steps=1, newton_tol=1.5),
-        dict(t_final=1.0, n_steps=1, newton_max_iters=0),
-        dict(t_final=1.0, n_steps=1, record_every=0),
         dict(t_final=1.0, n_steps=2.5),
         dict(t_final=1.0, n_steps=3.0),
-        dict(t_final=1.0, n_steps=1, newton_max_iters=2.5),
-        dict(t_final=1.0, n_steps=1, record_every=1.5),
     ],
 )
 def test_solver_config_validation(kwargs):
@@ -81,10 +75,8 @@ def test_solver_config_validation(kwargs):
 
 
 def test_solver_config_accepts_numpy_integer_counts():
-    config = SolverConfig(
-        t_final=1.0, n_steps=np.int64(4), newton_max_iters=np.int32(20), record_every=np.int64(2)
-    )
-    assert config.n_steps == 4 and config.newton_max_iters == 20 and config.record_every == 2
+    config = SolverConfig(t_final=1.0, n_steps=np.int64(4))
+    assert config.n_steps == 4
 
 
 def _toy_trace(n=6):
@@ -293,9 +285,7 @@ def test_newton_jacobian_matches_finite_differences(
         return inner(self, jac, rhs, f, rtol)
 
     monkeypatch.setattr(solver_mod._NewtonSystem, "solve", capture)
-    backward_euler_step(
-        ScalarField(grid, f_old), pset, t_new, dt, SolverConfig(t_final=1.0, n_steps=1)
-    )
+    backward_euler_step(ScalarField(grid, f_old), pset, t_new, dt)
     assert systems
     rng = np.random.default_rng(dim)
     eps = 1e-6
@@ -476,18 +466,17 @@ def test_noflux_flux_has_zero_wall_values():
 def test_step_validation():
     grid = build_grid(1, 16, Boundary.PERIODIC)
     pset = build_parameter_set(1, "D:homogeneous", 16)
-    config = SolverConfig(t_final=1.0, n_steps=10)
     f = gaussian_start(grid)
     for dt in (0.0, -0.1, np.nan, np.inf):
         with pytest.raises(ValueError, match="step size"):
-            backward_euler_step(f, pset, 0.1, dt, config)
+            backward_euler_step(f, pset, 0.1, dt)
     for t_new in (np.nan, np.inf):
         with pytest.raises(ValueError, match="t_new"):
-            backward_euler_step(f, pset, t_new, 0.1, config)
+            backward_euler_step(f, pset, t_new, 0.1)
     flat = np.zeros(grid.shape)
     flat[0] = 1.0 / grid.cell_volume
     with pytest.raises(ValueError, match="positive"):
-        backward_euler_step(ScalarField(grid, flat), pset, 0.1, 0.1, config)
+        backward_euler_step(ScalarField(grid, flat), pset, 0.1, 0.1)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -496,8 +485,7 @@ def test_step_conserves_mass_exactly(dim, boundary):
     grid = build_grid(dim, 20 if dim == 1 else 12, boundary)
     pset = build_parameter_set(dim, "D:single", grid.n_cells)
     f = gaussian_start(grid)
-    config = SolverConfig(t_final=1.0, n_steps=10)
-    f1 = backward_euler_step(f, pset, 0.1, 0.1, config)
+    f1 = backward_euler_step(f, pset, 0.1, 0.1)
     assert integrate(f1) == pytest.approx(integrate(f), abs=5e-15)
     assert np.all(f1.values > 0.0)
 
@@ -506,8 +494,7 @@ def test_step_fixes_the_equilibrium():
     grid = build_grid(1, 40, Boundary.PERIODIC)
     pset = build_parameter_set(1, "D:multi", grid.n_cells)
     eq = equilibrium_state(pset, grid)
-    config = SolverConfig(t_final=1.0, n_steps=10)
-    f1 = backward_euler_step(eq.density, pset, 0.37, 0.37, config)
+    f1 = backward_euler_step(eq.density, pset, 0.37, 0.37)
     np.testing.assert_allclose(f1.values, eq.density.values, rtol=1e-12)
 
 
@@ -515,19 +502,18 @@ def test_step_decreases_free_energy():
     grid = build_grid(1, 50, Boundary.NOFLUX)
     pset = build_parameter_set(1, "D:single", grid.n_cells)
     f = gaussian_start(grid)
-    config = SolverConfig(t_final=1.0, n_steps=10)
     before = free_energy(f, pset)
-    f1 = backward_euler_step(f, pset, 0.1, 0.1, config)
+    f1 = backward_euler_step(f, pset, 0.1, 0.1)
     assert free_energy(f1, pset) < before
 
 
-def test_step_raises_nonconvergence_when_starved_of_iterations():
+def test_step_raises_nonconvergence_when_starved_of_iterations(monkeypatch):
     grid = build_grid(1, 50, Boundary.PERIODIC)
     pset = build_parameter_set(1, "D:single", grid.n_cells)
     f = gaussian_start(grid, variance=0.01, floor_rel=1e-10)
-    config = SolverConfig(t_final=1.0, n_steps=1, newton_max_iters=1)
+    monkeypatch.setattr(solver_mod, "_NEWTON_MAX_ITERS", 1)
     with pytest.raises(NonConvergence, match="residual"):
-        backward_euler_step(f, pset, 1.0, 1.0, config)
+        backward_euler_step(f, pset, 1.0, 1.0)
 
 
 # ----------------------------------------------------------------------
@@ -563,15 +549,15 @@ def test_run_recording_schedule():
     grid = build_grid(1, 24, Boundary.PERIODIC)
     pset = build_parameter_set(1, "D:homogeneous", grid.n_cells)
     f0 = gaussian_start(grid)
-    config = SolverConfig(t_final=0.7, n_steps=7, record_every=3)
+    config = SolverConfig(t_final=0.7, n_steps=7)
     steps = []
     final, trace = run(f0, pset, config, on_step=lambda k, t, f: steps.append((k, t)))
     dt = 0.1
-    # Recorded: t=0, steps 3 and 6, and the final step 7.
-    np.testing.assert_allclose(trace.t, [0.0, 3 * dt, 6 * dt, 7 * dt], rtol=1e-12)
+    # Recorded: t=0 and every step.
+    np.testing.assert_allclose(trace.t, dt * np.arange(8), rtol=1e-12)
     assert [k for k, _ in steps] == list(range(1, 8))
     np.testing.assert_allclose([t for _, t in steps], dt * np.arange(1, 8), rtol=1e-12)
-    assert len(trace) == 4
+    assert len(trace) == 8
     assert trace.f_max[0] >= trace.f_max[-1]  # spreading Gaussian flattens
 
 
@@ -583,25 +569,27 @@ def test_run_trace_satisfies_core_invariants():
     _, trace = run(f0, pset, config)
     trace.validate()
     assert np.max(np.abs(trace.mass - 1.0)) < 1e-12
-    assert np.all(np.diff(trace.F) <= 10 * config.newton_tol)
+    assert np.all(np.diff(trace.F) <= 10 * solver_mod._NEWTON_TOL)
     assert np.all(trace.f_min > 0.0)
     assert np.all(trace.F_rel >= -1e-12)
 
 
-@pytest.mark.parametrize("n_cells", [40, 100, 200])
+@pytest.mark.parametrize("preset, t_final", [
+    ("quad-dd-1d", 1e3), ("fig-fe-2d-hom", 1e6), ("fig-fe-3d-coarse-hom", 1e6),
+])
 @pytest.mark.parametrize("boundary", [Boundary.PERIODIC, Boundary.NOFLUX])
-@pytest.mark.parametrize("diffusion_ref", ["D:homogeneous", "D:single", "D:multi"])
-def test_run_converges_with_a_tolerance_below_roundoff(n_cells, boundary, diffusion_ref):
-    # newton_tol = 1e-16 asks for less than double precision can resolve;
-    # Newton must stop at round-off instead of iterating to the cap.  On
-    # finer grids the residual's rounding grows with the face terms times
-    # dt / h, past 64 ulps of max |f_old|.
-    grid = build_grid(1, n_cells, boundary)
-    pset = build_parameter_set(1, diffusion_ref, grid.n_cells)
-    config = SolverConfig(t_final=0.5, n_steps=5, newton_tol=1e-16)
-    _, trace = run(gaussian_start(grid), pset, config)
+def test_long_steps_land_on_the_equilibrium_through_the_rounding_exit(
+    preset, t_final, boundary
+):
+    # Each step's residual stalls above the tolerance at its own rounding,
+    # which grows with the face terms times dt / h; Newton must stop there
+    # instead of iterating to the cap.
+    _grid, pset, f0, config = materialize(preset, boundary, t_final=t_final, n_steps=2)
+    _, trace = run(f0, pset, config)
     trace.validate()
+    assert np.max(np.abs(trace.mass - trace.mass[0])) <= 1e-15
     assert np.all(np.diff(trace.F) < 0.0)
+    assert trace.F_rel[-1] <= 1e-14
 
 
 def test_pinned_1d_and_2d_runs_keep_mass_at_roundoff(shared_runs):
@@ -615,11 +603,12 @@ def test_pinned_1d_and_2d_runs_keep_mass_at_roundoff(shared_runs):
             assert np.max(np.abs(mass - mass[0])) <= 1e-14, (dim, diff, bc)
 
 
-def test_run_prefixes_step_errors_with_the_step_index():
+def test_run_prefixes_step_errors_with_the_step_index(monkeypatch):
     grid = build_grid(1, 50, Boundary.PERIODIC)
     pset = build_parameter_set(1, "D:single", grid.n_cells)
     f0 = gaussian_start(grid, variance=0.01, floor_rel=1e-10)
-    config = SolverConfig(t_final=1.0, n_steps=1, newton_max_iters=1)
+    config = SolverConfig(t_final=1.0, n_steps=1)
+    monkeypatch.setattr(solver_mod, "_NEWTON_MAX_ITERS", 1)
     with pytest.raises(NonConvergence, match=r"step 1 \(t = 1\)"):
         run(f0, pset, config)
 
@@ -820,9 +809,9 @@ def _record_solves(monkeypatch):
     return solves
 
 
-def _forcing_floor(config, f_old, rnorm):
+def _forcing_floor(f_old, rnorm):
     """The rtol every update may take: 1% of the Newton tolerance."""
-    tol = config.newton_tol * max(1.0, float(np.max(f_old)))
+    tol = solver_mod._NEWTON_TOL * max(1.0, float(np.max(f_old)))
     return min(0.1, max(1e-13, 0.01 * tol / rnorm))
 
 
@@ -834,7 +823,7 @@ def _preset_solves_by_step(monkeypatch, preset, boundary):
 
     def on_step(_k, _t, f):
         nonlocal f_old
-        steps.append([(rtol, _forcing_floor(config, f_old, rn)) for rtol, rn, _f, _x in solves])
+        steps.append([(rtol, _forcing_floor(f_old, rn)) for rtol, rn, _f, _x in solves])
         solves.clear()
         f_old = f.values
 
@@ -873,10 +862,9 @@ def test_a_nonlinear_3d_step_starts_at_the_forcing_ceiling(monkeypatch, boundary
     solves = _record_solves(monkeypatch)
     grid = build_grid(3, 8, boundary)
     f0 = gaussian_start(grid, 0.08)
-    config = SolverConfig(t_final=0.05, n_steps=1)
-    backward_euler_step(f0, build_parameter_set(3, "D:single", 8), 0.05, 0.05, config)
+    backward_euler_step(f0, build_parameter_set(3, "D:single", 8), 0.05, 0.05)
     rtols = [rtol for rtol, _rn, _f, _x in solves]
-    floors = [_forcing_floor(config, f0.values, rn) for _r, rn, _f, _x in solves]
+    floors = [_forcing_floor(f0.values, rn) for _r, rn, _f, _x in solves]
     assert len(solves) >= 2
     assert rtols[0] == 0.1 > floors[0]
     assert rtols[-1] == floors[-1]
@@ -890,14 +878,13 @@ def test_a_damped_update_forgets_the_measured_nonlinearity(monkeypatch, boundary
     solves = _record_solves(monkeypatch)
     grid = build_grid(3, 8, boundary)
     disc = build_parameter_set(3, "D:single", 8).discretize(grid)
-    config = SolverConfig(t_final=0.1, n_steps=2)
     system = solver_mod._NewtonSystem(disc)
-    solver_mod._newton_solve(disc, gaussian_start(grid, 0.08).values, 0.05, 0.05, config, system)
+    solver_mod._newton_solve(disc, gaussian_start(grid, 0.08).values, 0.05, 0.05, system)
     assert system.curvature is not None
     solves.clear()
     narrow = preset_gaussian_ic(3, variance=0.04).build(grid).values
-    solver_mod._newton_solve(disc, narrow, 0.1, 0.05, config, system)
-    loose = [rtol > _forcing_floor(config, narrow, rn) for rtol, rn, _f, _x in solves]
+    solver_mod._newton_solve(disc, narrow, 0.1, 0.05, system)
+    loose = [rtol > _forcing_floor(narrow, rn) for rtol, rn, _f, _x in solves]
     damped = [
         not np.array_equal(f_next, f.ravel() + x)
         for (_r, _rn, f, x), (_r2, _rn2, f_next, _x2) in zip(solves, solves[1:])
@@ -970,12 +957,11 @@ def test_3d_krylov_step_matches_the_direct_solve_in_every_cell(monkeypatch, boun
         mobility=get_mobility("pi:unit", 3),
     )
     f0 = gaussian_start(grid, variance=0.025, floor_rel=0.0)
-    config = SolverConfig(t_final=dt, n_steps=1)
-    krylov = backward_euler_step(f0, pset, dt, dt, config).values
+    krylov = backward_euler_step(f0, pset, dt, dt).values
     counts = {}
     _count_calls(monkeypatch, "splu", counts)
     _count_calls(monkeypatch, "bicgstab", counts, replacement=_direct_bicgstab)
-    direct = backward_euler_step(f0, pset, dt, dt, config).values
+    direct = backward_euler_step(f0, pset, dt, dt).values
     assert counts["bicgstab"] > 0
     assert counts.get("splu", 0) == 0
     assert direct.min() < 1e-23
@@ -1210,7 +1196,7 @@ def test_reused_factors_give_the_bits_of_fresh_ones(monkeypatch, dim, boundary):
     eq = equilibrium_state(pset, grid)
     states, times = [f0], [0.0]
     for k in range(1, config.n_steps + 1):
-        states.append(backward_euler_step(states[-1], pset, k * dt, dt, config))
+        states.append(backward_euler_step(states[-1], pset, k * dt, dt))
         times.append(k * dt)
     assert counts["splu"] == config.n_steps
     np.testing.assert_array_equal(final.values, states[-1].values)
@@ -1276,7 +1262,7 @@ def test_3d_krylov_step_keeps_tiny_tails_positive_and_mass_exact(boundary):
     f0 = gaussian_start(grid, variance=0.025, floor_rel=0.0)
     assert f0.values.min() < 1e-19
     dt = 1e-3
-    f1 = backward_euler_step(f0, pset, dt, dt, SolverConfig(t_final=dt, n_steps=1))
+    f1 = backward_euler_step(f0, pset, dt, dt)
     assert np.all(f1.values > 0.0)
     assert f1.values.min() < 1e-20
     assert abs(integrate(f1) - integrate(f0)) <= 1e-15
