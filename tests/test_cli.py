@@ -202,6 +202,36 @@ def test_library_checked_values_exit_2_before_any_run(
     assert list(tmp_path.iterdir()) == ([tmp_path / "bad.cfg"] if given == "config" else [])
 
 
+@pytest.mark.parametrize("given", ["flag", "config"])
+@pytest.mark.parametrize("command", ["run", "equilibrium", "compare"])
+def test_retired_record_every_exits_2_before_any_run(
+    tmp_path, capsys, monkeypatch, command, given
+):
+    # Every step is recorded now; a script or config file that still thins
+    # the trace must fail as a usage error, not run with another schedule.
+    runs = []
+    monkeypatch.setattr(cli, "run", lambda *args, **kwargs: runs.append(args))
+    if given == "flag":
+        spec_args = ["--record-every", "2"]
+    else:
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text("record-every = 2\n")
+        spec_args = ["--config", str(cfg)]
+    presets = ["fig-fe-1d-hom", "fig-fe-1d-D1"] if command == "compare" else []
+    argv = [command, *presets, *spec_args, "--out", str(tmp_path)]
+    if given == "flag":
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        code, (out, err) = exc.value.code, capsys.readouterr()
+    else:
+        code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "record-every" in err or "record_every" in err
+    assert runs == []
+
+
 def test_compare_builds_every_member_before_running_any(tmp_path, capsys, monkeypatch):
     # The homogeneous member is valid on 4 cells, the multi-mode one is not.
     runs = []

@@ -585,6 +585,22 @@ def test_long_steps_land_on_the_equilibrium_through_the_rounding_exit(
     # which grows with the face terms times dt / h; Newton must stop there
     # instead of iterating to the cap.
     _grid, pset, f0, config = materialize(preset, boundary, t_final=t_final, n_steps=2)
+    _check_lands_on_the_equilibrium(f0, pset, config)
+
+
+@pytest.mark.parametrize("n_cells", [40, 100, 200])
+@pytest.mark.parametrize("boundary", [Boundary.PERIODIC, Boundary.NOFLUX])
+@pytest.mark.parametrize("diffusion_ref", ["D:homogeneous", "D:single", "D:multi"])
+def test_long_1d_steps_stop_at_rounding_on_every_grid(n_cells, boundary, diffusion_ref):
+    # With dt = 5e5 every case needs the rounding exit, and the rounding
+    # bound must follow dt / h from the coarsest grid to the finest.
+    grid = build_grid(1, n_cells, boundary)
+    pset = build_parameter_set(1, diffusion_ref, grid.n_cells)
+    config = SolverConfig(t_final=1e6, n_steps=2)
+    _check_lands_on_the_equilibrium(gaussian_start(grid), pset, config)
+
+
+def _check_lands_on_the_equilibrium(f0, pset, config):
     _, trace = run(f0, pset, config)
     trace.validate()
     assert np.max(np.abs(trace.mass - trace.mass[0])) <= 1e-15
