@@ -257,7 +257,7 @@ def _chk_mass_conservation() -> None:
     for bc in (Boundary.PERIODIC, Boundary.NOFLUX):
         trace = _workhorse(bc, "D:single")[5]
         drift = float(np.max(np.abs(trace.mass - trace.mass[0])))
-        _require(drift <= 1e-11, f"mass drift {drift:.3e} under {bc.value}")
+        _require(drift <= solver._MASS_DRIFT, f"mass drift {drift:.3e} under {bc.value}")
 
 
 def _chk_positivity() -> None:
@@ -270,7 +270,7 @@ def _chk_energy_decay() -> None:
     for bc in (Boundary.PERIODIC, Boundary.NOFLUX):
         trace = _workhorse(bc, "D:single")[5]
         worst = float(np.max(np.diff(trace.F)))
-        _require(worst <= 10 * 1e-10, f"energy increased by {worst:.3e} under {bc.value}")
+        _require(worst <= solver._F_RISE, f"energy increased by {worst:.3e} under {bc.value}")
 
 
 def _chk_ckp() -> None:
@@ -406,8 +406,8 @@ def _chk_mass_2d() -> None:
         f0 = ic.build(grid)
         _final, trace = run(f0, pset, SolverConfig(t_final=0.4, n_steps=8))
         drift = float(np.max(np.abs(trace.mass - trace.mass[0])))
-        _require(drift <= 1e-11, f"2D mass drift {drift:.3e} under {bc.value}")
-        _require(np.all(np.diff(trace.F) <= 1e-9), "2D energy increased")
+        _require(drift <= solver._MASS_DRIFT, f"2D mass drift {drift:.3e} under {bc.value}")
+        _require(np.all(np.diff(trace.F) <= solver._F_RISE), "2D energy increased")
 
 
 def _chk_mass_3d() -> None:
@@ -416,7 +416,7 @@ def _chk_mass_3d() -> None:
     f0 = params_mod.preset_gaussian_ic(3, variance=0.04).build(grid)
     _final, trace = run(f0, pset, SolverConfig(t_final=0.2, n_steps=4))
     drift = float(np.max(np.abs(trace.mass - trace.mass[0])))
-    _require(drift <= 1e-11, f"3D mass drift {drift:.3e}")
+    _require(drift <= solver._MASS_DRIFT, f"3D mass drift {drift:.3e}")
     _require(np.all(trace.f_min > 0.0), "3D positivity lost")
 
 
@@ -499,13 +499,13 @@ def _crit_mass_and_runtime() -> str:
         f"max |mass-1| = {worst_drift:.2e} at {worst_key}; slowest runs "
         f"1D {slowest[1]:.2f}s, 2D {slowest[2]:.2f}s, 3D {slowest[3]:.1f}s"
     )
-    _require(worst_drift <= 1e-11, detail)
+    _require(worst_drift <= solver._MASS_DRIFT, detail)
     _require(all(slowest[d] < RUNTIME_BUDGET_SECONDS[d] for d in slowest), detail)
     return detail
 
 
 def _crit_energy_decay() -> str:
-    worst_rise, worst_key, tol = -np.inf, None, 10.0 * solver._NEWTON_TOL
+    worst_rise, worst_key, tol = -np.inf, None, solver._F_RISE
     for dim, diff, bc in pinned_keys():
         r = pinned_run(dim, diff, bc)
         rise = float(np.max(np.diff(r.trace.F)))

@@ -19,7 +19,9 @@ the dissipation) vanishes there to round-off, not merely to O(h^2).
 The dissipation and the d^2F/dt^2 identity evaluate the mobility once,
 form u on the Discretization's face list, and bring it to the cells
 through :meth:`~fpflow.params.Discretization.cell_faces`, each cell's
-lower and upper face value per axis.
+lower and upper face value per axis.  The identity evaluates one
+expansion in every regime, whose later terms vanish exactly for constant
+D and unit pi, as the Discretization decides them.
 """
 
 from __future__ import annotations
@@ -212,12 +214,6 @@ def _cell_gradient(arr: np.ndarray, grid, axis: int) -> np.ndarray:
     return np.gradient(arr, grid.h, axis=axis, edge_order=2)
 
 
-def _check_constant(values: np.ndarray, what: str, regime: Regime) -> None:
-    scale = max(float(np.max(np.abs(values))), 1.0)
-    if float(np.max(values) - np.min(values)) > 1e-12 * scale:
-        raise ValueError(f"regime {regime.value!r} requires {what}, which does not hold")
-
-
 def second_derivative_identity(
     f: ScalarField,
     params: ParameterSet,
@@ -229,12 +225,14 @@ def second_derivative_identity(
 
     ``fd_context`` holds three consecutive uniformly spaced (t, F) rows
     centered on the snapshot time; the left side is their second
-    difference.  The right side integrates the regime's expansion of
-    d^2F/dt^2 in terms of the velocity field, its first derivatives, and
-    the analytic derivatives of D, phi and pi.  Terms are grouped exactly
-    as the expansion introduces them: convexity + velocity-gradient terms
-    first (the only ones for homogeneous coefficients), the five
-    diffusion-gradient couplings next, and six mobility couplings last.
+    difference.  The right side integrates the one expansion of d^2F/dt^2
+    in terms of the velocity field, its first derivatives, and the
+    analytic derivatives of D, phi and pi (d(pi)/dt too), grouped as it
+    introduces them: convexity + velocity-gradient terms, five
+    diffusion-gradient couplings (exact zeros for constant D) and six
+    mobility couplings (exact zeros for unit pi).  ``regime`` only says
+    what must hold: the Discretization's ``linear`` for HOMOGENEOUS, and
+    its ``unit_mobility()`` for HOMOGENEOUS and INHOMOGENEOUS_D.
     """
     grid = f.grid
     if grid.boundary is Boundary.NOFLUX and grid.n_cells < 3:
@@ -257,16 +255,11 @@ def second_derivative_identity(
     lhs = (F2 - 2.0 * F1 + F0) / dt**2
 
     disc = params.discretize(grid)
-    D = disc.D
-    pi = disc.pi(t)
-    if regime is Regime.HOMOGENEOUS:
-        _check_constant(D, "constant diffusion", regime)
-    if regime in (Regime.HOMOGENEOUS, Regime.INHOMOGENEOUS_D):
-        for pi_probe in (pi, params.mobility.on_grid(grid, t + 0.37)):
-            if float(np.max(np.abs(pi_probe - 1.0))) > 1e-12:
-                raise ValueError(
-                    f"regime {regime.value!r} requires unit mobility, which does not hold"
-                )
+    unmet = f"regime {regime.value!r} requires {{}}, which does not hold"
+    if regime is Regime.HOMOGENEOUS and not disc.linear:
+        raise ValueError(unmet.format("constant diffusion"))
+    if regime is not Regime.VARIABLE_MOBILITY and not disc.unit_mobility():
+        raise ValueError(unmet.format("unit mobility"))
 
     _require_positive(f.values, "second_derivative_identity")
     fv = f.values
@@ -274,6 +267,9 @@ def second_derivative_identity(
     phi_grad = _finite(params.potential.gradient_on_grid(grid), "potential gradient")
     phi_hess = _finite(params.potential.hessian_on_grid(grid), "potential Hessian")
     D_grad = _finite(params.diffusion.gradient_on_grid(grid), "diffusion gradient")
+    pi_t = _finite(params.mobility.time_derivative_on_grid(grid, t), "mobility time derivative")
+    pi_grad = _finite(params.mobility.gradient_on_grid(grid, t), "mobility gradient")
+    D, pi = disc.D, disc.pi(t)
 
     dim = grid.dim
     u = _face_velocity(disc, fv, pi)
@@ -305,26 +301,21 @@ def second_derivative_identity(
 
     rhs = 2.0 * qsum(hess_quad * fv) + 2.0 * qsum(D * grad_u_sq * fv)
 
-    if regime is not Regime.HOMOGENEOUS:
-        rhs -= qsum((logf - 1.0) * dot(grad_usq, D_grad) * fv)
-        rhs -= 2.0 * qsum((1.0 + logf) * u_dot_gradD * div_u * fv)
-        pi_weight = pi if regime is Regime.VARIABLE_MOBILITY else 1.0
-        rhs += 2.0 * qsum(pi_weight / D * usq * logf * u_dot_gradD * fv)
-        rhs += 2.0 * qsum(logf**2 / D * u_dot_gradD**2 * fv)
-        rhs += 2.0 * qsum(logf / D * u_dot_gradD * u_dot_gradphi * fv)
+    rhs -= qsum((logf - 1.0) * dot(grad_usq, D_grad) * fv)
+    rhs -= 2.0 * qsum((1.0 + logf) * u_dot_gradD * div_u * fv)
+    rhs += 2.0 * qsum(pi / D * usq * logf * u_dot_gradD * fv)
+    rhs += 2.0 * qsum(logf**2 / D * u_dot_gradD**2 * fv)
+    rhs += 2.0 * qsum(logf / D * u_dot_gradD * u_dot_gradphi * fv)
 
-    if regime is Regime.VARIABLE_MOBILITY:
-        pi_t = _finite(params.mobility.time_derivative_on_grid(grid, t), "mobility time derivative")
-        pi_grad = _finite(params.mobility.gradient_on_grid(grid, t), "mobility gradient")
-        u_dot_gradpi = dot(ubar, pi_grad)
-        # ((grad u) u)_d = sum_e u_e d(u_d)/d(x_e)
-        conv = [dot(ubar, du[d]) for d in range(dim)]
-        rhs += qsum(pi_t * usq * fv)
-        rhs += qsum(usq * u_dot_gradpi * fv)
-        rhs -= 2.0 * qsum((logf - 1.0) / pi * usq * dot(pi_grad, D_grad) * fv)
-        rhs += 2.0 * qsum((logf - 1.0) / pi * u_dot_gradpi * u_dot_gradD * fv)
-        rhs += qsum(D / pi * dot(grad_usq, pi_grad) * fv)
-        rhs -= 2.0 * qsum(D / pi * dot(conv, pi_grad) * fv)
+    u_dot_gradpi = dot(ubar, pi_grad)
+    # ((grad u) u)_d = sum_e u_e d(u_d)/d(x_e)
+    conv = [dot(ubar, du[d]) for d in range(dim)]
+    rhs += qsum(pi_t * usq * fv)
+    rhs += qsum(usq * u_dot_gradpi * fv)
+    rhs -= 2.0 * qsum((logf - 1.0) / pi * usq * dot(pi_grad, D_grad) * fv)
+    rhs += 2.0 * qsum((logf - 1.0) / pi * u_dot_gradpi * u_dot_gradD * fv)
+    rhs += qsum(D / pi * dot(grad_usq, pi_grad) * fv)
+    rhs -= 2.0 * qsum(D / pi * dot(conv, pi_grad) * fv)
 
     return IdentityReport(lhs=lhs, rhs=rhs, residual=abs(lhs - rhs), regime=regime)
 

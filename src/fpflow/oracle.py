@@ -73,8 +73,8 @@ def _probe_colours(grid: TensorGrid) -> tuple[np.ndarray, int]:
 def build_linear_operator(params: ParameterSet, grid: TensorGrid) -> ProbedOperator:
     """Probe the flux assembly into a sparse matrix with L f = -div J(f).
 
-    Requires constant diffusion and unit (time-independent) mobility so
-    that the flux is exactly linear in f; column j is the response to a
+    Requires a Discretization that is ``linear`` with ``unit_mobility()``,
+    so that the flux is exactly linear in f; column j is the response to a
     unit bump at cell j on the positive background f = 1.  All columns of
     one colour (see :func:`_probe_colours`) are bumped at once, and each
     response entry is read back into the one column of that colour in the
@@ -87,12 +87,10 @@ def build_linear_operator(params: ParameterSet, grid: TensorGrid) -> ProbedOpera
     if n > _MAX_CELLS:
         raise ValueError(f"probed operator limited to {_MAX_CELLS} cells, grid has {n}")
     disc = params.discretize(grid)
-    D = disc.D
-    if float(np.max(D) - np.min(D)) > 1e-14 * float(np.max(np.abs(D))):
+    if not disc.linear:
         raise ValueError("build_linear_operator requires constant diffusion")
-    for pi in (disc.pi(0.0), params.mobility.on_grid(grid, 0.37)):
-        if float(np.max(np.abs(pi - 1.0))) > 1e-14:
-            raise ValueError("build_linear_operator requires unit mobility")
+    if not disc.unit_mobility():
+        raise ValueError("build_linear_operator requires unit mobility")
 
     def minus_div(values: np.ndarray) -> np.ndarray:
         fld = ScalarField(grid, values.reshape(grid.shape))
@@ -104,7 +102,7 @@ def build_linear_operator(params: ParameterSet, grid: TensorGrid) -> ProbedOpera
         minus_div(np.where(colour == c, 2.0, 1.0)) - base for c in range(n_colours)
     ])
     # The stencil, row-major: the Newton Jacobian's pattern is symmetric,
-    # so its CSC columns read as rows.
+    # so it reads as rows whether it is laid out as CSR (3D) or CSC.
     rows = np.repeat(np.arange(n), np.diff(disc.jac_indptr))
     cols = disc.jac_indices
     data = responses[colour[cols], rows]

@@ -99,8 +99,8 @@ class DiffusionField:
 class MobilityField:
     """Mobility pi(x, t) > 0; evaluators take coordinates then time.
 
-    ``time_derivative`` is the analytic d(pi)/dt, needed only by the
-    variable-mobility identity diagnostics.
+    ``time_derivative`` is the analytic d(pi)/dt, read by every evaluation
+    of the d^2F/dt^2 identity diagnostic, whatever its regime.
     """
 
     evaluate: Callable[..., np.ndarray]
@@ -155,17 +155,19 @@ class Discretization:
     The mobility is the one time-dependent coefficient and is not kept:
     :meth:`pi` evaluates it at each call, and :meth:`face_mean` takes the
     caller's cell values to the faces.  Nothing on the object changes
-    after construction, so runs and threads share it freely.
-
-    It also builds the backward-Euler Newton Jacobian, the one place that
-    does, in the layout the solver's solve reads: CSR in 3D, where
-    BiCGSTAB only multiplies by it, and CSC in 1D and 2D, where SuperLU
-    factors it.  The sparsity pattern is built once (``jac_indptr``,
-    ``jac_indices``, sorted within each row or column) with the slots of
-    the diagonal (``jac_diagonal``).  It is structurally symmetric, so
-    these arrays read the same in either layout.  :meth:`jacobian` fills
-    it from the faces' flux derivatives by one mat-vec of a sparse
-    assembly operator built with the pattern.
+    after construction, so runs and threads share it freely.  It decides,
+    exactly and for every consumer, whether the flux is ``linear`` in f
+    (no face sees a change of D), whether the mobility is unit
+    (:meth:`unit_mobility`) and whether the Newton systems are solved by
+    ``krylov`` BiCGSTAB (3D) rather than SuperLU.  It builds the
+    backward-Euler Newton Jacobian, the one place that does, in the layout
+    that solve reads: CSR for BiCGSTAB, which only multiplies by it, CSC
+    for SuperLU, which factors it.  The sparsity pattern is built once
+    (``jac_indptr``, ``jac_indices``, sorted within each row or column)
+    with the slots of the diagonal (``jac_diagonal``).  It is structurally
+    symmetric, so these arrays read the same in either layout.
+    :meth:`jacobian` fills it from the faces' flux derivatives by one
+    mat-vec of a sparse assembly operator built with the pattern.
     """
 
     def __init__(self, grid: TensorGrid, params: ParameterSet):
@@ -187,12 +189,14 @@ class Discretization:
         self.dphi = _read_only(phi[R] - phi[L])
         self.dD = _read_only(D[R] - D[L])
         self.Dbar = _read_only(self.face_mean(self.D))
+        self.linear = not np.any(self.dD)
+        self.krylov = grid.dim == 3
         # Jacobian COO entries: the diagonal, then (L, L), (L, R), (R, L),
-        # (R, R) of every face, keyed row-major in 3D (CSR) and
+        # (R, R) of every face, keyed row-major for Krylov (CSR) and
         # column-major otherwise (CSC).
         major, minor = (cells, L, L, R, R), (cells, L, R, L, R)
         self._jac_format = sp.csr_matrix
-        if grid.dim != 3:
+        if not self.krylov:
             major, minor, self._jac_format = minor, major, sp.csc_matrix
         keys = np.concatenate(major) * n + np.concatenate(minor)
         # One stable sort gives what np.unique(..., return_inverse=True)
@@ -255,7 +259,7 @@ class Discretization:
         return 0.5 * (flat[self.l_idx] + flat[self.r_idx])
 
     def jacobian(self, dj_l: np.ndarray, dj_r: np.ndarray, c: float) -> sp.spmatrix:
-        """I + c * d(div J)/df on ``jac_indptr`` and ``jac_indices``: CSR in 3D, else CSC.
+        """I + c * d(div J)/df on ``jac_indptr`` and ``jac_indices``: CSR if ``krylov``, else CSC.
 
         ``dj_l`` and ``dj_r`` are the faces' dJ/df_L and dJ/df_R and ``c``
         is dt / h.  The face flux enters cell L's divergence with + and
@@ -280,6 +284,10 @@ class Discretization:
         with np.errstate(over="ignore", invalid="ignore"):
             values = self.mobility.on_grid(self.grid, t)
         return _checked(values, f"mobility at t = {t}")
+
+    def unit_mobility(self) -> bool:
+        """Whether pi is exactly 1 in every cell at t = 0 and at the probe time 0.37."""
+        return all(np.all(self.pi(t) == 1.0) for t in (0.0, 0.37))
 
 
 @dataclass(frozen=True)

@@ -116,17 +116,17 @@ make the Krylov update as good as the direct one:
   which loosens from the residual ratio alone, took 40 in place of 13 on
   the linear 3D preset).  Before the system has measured any update, C is
   unknown, and Eisenstat-Walker start at the ceiling: where the flux is
-  nonlinear in f (dD nonzero on some face), the first update of a run (or
-  of one backward_euler_step) takes rtol 0.1 wherever 0.1 |R| is over ten
-  times the tolerance, so that what it leaves cannot end its step.  On the
-  pinned fig-fe-3d-DM no-flux run the floor's first update was damped
-  anyway (8 cells would have gone negative); at 0.1 it is not, and the run
-  takes 89 Krylov iterations in place of 128, with the same 33 updates.  A
-  linear flux (dD = 0) keeps the floor: its C is 0 and its first update
-  may end its step (fig-fe-3d-hom at 0.1: 89 iterations in place of 94,
-  but 11 updates in place of 10).  After a damped update the floor returns
-  as well: loosening there made the coarse 3D D:single runs fail to
-  converge.
+  nonlinear in f (``Discretization.linear`` is False: dD is nonzero on
+  some face), the first update of a run (or of one backward_euler_step)
+  takes rtol 0.1 wherever 0.1 |R| is over ten times the tolerance, so
+  that what it leaves cannot end its step.  On the pinned fig-fe-3d-DM
+  no-flux run the floor's first update was damped anyway (8 cells would
+  have gone negative); at 0.1 it is not, and the run takes 89 Krylov
+  iterations in place of 128, with the same 33 updates.  A linear flux
+  keeps the floor: its C is 0 and its first update may end its step
+  (fig-fe-3d-hom at 0.1: 89 iterations in place of 94, but 11 updates in
+  place of 10).  After a damped update the floor returns as well:
+  loosening there made the coarse 3D D:single runs fail to converge.
 
 On both paths the update's mass error is then removed exactly.  Every
 Jacobian column sums to one, so the exact update carries the mass of the
@@ -173,7 +173,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator, bicgstab, splu
 
-from .diagnostics import dissipation, free_energy
+from .diagnostics import _require_positive, dissipation, free_energy
 from .equilibrium import equilibrium_state
 from .grid import FaceField, ScalarField, adjacent_cell_values, integrate
 from .params import Discretization, ParameterSet
@@ -195,6 +195,10 @@ _POSITIVITY_FLOOR = 1e-280
 # iteration cap; each step reads them when it starts.
 _NEWTON_TOL = 1e-10
 _NEWTON_MAX_ITERS = 50
+
+# Every trace check's bounds on the mass drift and on F's rise over one step.
+_MASS_DRIFT = 1e-11
+_F_RISE = 10 * _NEWTON_TOL
 
 
 @dataclass(frozen=True)
@@ -243,8 +247,10 @@ class EnergyTrace:
                 raise ValueError(f"trace column {column} has a non-finite entry")
         if len(self.t) and np.any(np.diff(self.t) <= 0.0):
             raise ValueError("trace times must be strictly increasing")
-        if len(self.t) and np.max(np.abs(self.mass - self.mass[0])) > 1e-11:
-            raise ValueError("trace mass drifts by more than 1e-11 from the initial mass")
+        if len(self.t) and np.max(np.abs(self.mass - self.mass[0])) > _MASS_DRIFT:
+            raise ValueError(
+                f"trace mass drifts by more than {_MASS_DRIFT:g} from the initial mass"
+            )
         if np.any(self.f_min <= 0.0):
             raise ValueError("trace contains a nonpositive density minimum")
 
@@ -350,8 +356,7 @@ def _face_derivatives(disc: Discretization, q: dict) -> tuple[np.ndarray, np.nda
 
 def assemble_flux(f: ScalarField, params: ParameterSet, t: float) -> FaceField:
     """Exponential-fitted face flux of the density f at time t."""
-    if np.any(f.values <= 0.0):
-        raise ValueError("assemble_flux requires a strictly positive density")
+    _require_positive(f.values, "assemble_flux")
     disc = params.discretize(f.grid)
     return disc.face_field(_face_quantities(disc, f.values, _face_coefficient(disc, t))["J"])
 
@@ -363,25 +368,24 @@ def assemble_flux(f: ScalarField, params: ParameterSet, t: float) -> FaceField:
 class _NewtonSystem:
     """Solves the Newton systems of one run or step, keeping the last factorization.
 
-    In 1D and 2D it keeps its last SuperLU factorization with the values it
+    With SuperLU it keeps its last factorization with the values it
     factored; a new Jacobian whose values are bitwise equal to those is that
-    matrix, so the factors are reused.  In 3D it keeps the measured
-    nonlinearity C that sets the forcing term.  It lives in the local state
-    of one :func:`run` or :func:`backward_euler_step` call, never on the
-    shared :class:`~fpflow.params.Discretization`.
+    matrix, so the factors are reused.  Where the Discretization is
+    ``krylov`` it keeps the measured nonlinearity C that sets the forcing
+    term.  It lives in the local state of one :func:`run` or
+    :func:`backward_euler_step` call, never on the shared
+    :class:`~fpflow.params.Discretization`.
     """
 
     def __init__(self, disc: Discretization):
         self._disc = disc
         self._lu = None
         self._factored: Optional[np.ndarray] = None  # the values _lu factors
-        # 3D only: |rhs - A x| of the last update, and the measured C of
+        # Krylov only: |rhs - A x| of the last update, and the measured C of
         # |R_new| ~ rho + C |R_old|^2 (None until an undamped update shows it).
         self.rho: Optional[float] = None
         self.curvature: Optional[float] = None
-        # Whether the flux is nonlinear in f: only lbar * dD makes it so.
-        self._nonlinear = bool(np.any(disc.dD != 0.0))
-        if disc.grid.dim == 3:
+        if disc.krylov:
             # T = Q diag(lam) Q^T, the graph Laplacian of one axis's faces.
             n = disc.grid.n_cells
             left, right = adjacent_cell_values(np.arange(n), 0, disc.grid.boundary)
@@ -450,8 +454,7 @@ class _NewtonSystem:
         solve or a singular system raises :class:`NonConvergence`.
         """
         disc = self._disc
-        krylov = disc.grid.dim == 3
-        if krylov:
+        if disc.krylov:
             norm = float(np.max(np.abs(rhs)))
             # An iterate that overflows is a failed solve, not a warning.
             with np.errstate(over="ignore", invalid="ignore"):
@@ -477,7 +480,7 @@ class _NewtonSystem:
                 self._factored = jac.data
             x = self._lu.solve(rhs)
         x += f * ((rhs.sum() - x.sum()) / f.sum())
-        if krylov:
+        if disc.krylov:
             self.rho = float(np.max(np.abs(rhs - jac @ x)))
         return x
 
@@ -489,7 +492,7 @@ class _NewtonSystem:
         is measured a nonlinear flux starts at the ceiling 0.1 where 0.1 |R|
         is; the module note gives the reasons.
         """
-        if self.rho is None and self._nonlinear and 0.1 * rnorm > 10.0 * tol:
+        if self.rho is None and not self._disc.linear and 0.1 * rnorm > 10.0 * tol:
             return 0.1
         rtol = min(0.1, max(1e-13, 0.01 * tol / rnorm))
         c = self.curvature
@@ -580,8 +583,7 @@ def backward_euler_step(
         raise ValueError(f"step size must be positive and finite, got {dt}")
     if not np.isfinite(t_new):
         raise ValueError(f"t_new must be finite, got {t_new}")
-    if np.any(f_old.values <= 0.0):
-        raise ValueError("backward_euler_step requires a strictly positive start")
+    _require_positive(f_old.values, "backward_euler_step")
     disc = params.discretize(f_old.grid)
     f = _newton_solve(disc, f_old.values, t_new, dt, _NewtonSystem(disc))
     return ScalarField(f_old.grid, f)

@@ -23,6 +23,7 @@ from fpflow import (
     SolverConfig,
     assemble_flux,
     build_grid,
+    build_linear_operator,
     ckp_check,
     dissipation,
     energy_law_mismatch,
@@ -37,7 +38,7 @@ from fpflow import (
     second_derivative_identity,
     velocity,
 )
-from fpflow.params import build_parameter_set
+from fpflow.params import DiffusionField, MobilityField, build_parameter_set
 
 
 def random_density(grid, seed):
@@ -277,6 +278,48 @@ def test_identity_enforces_regime_assumptions():
         second_derivative_identity(f, varying_pi, 0.2, Regime.HOMOGENEOUS, rows)
     with pytest.raises(ValueError, match="unit mobility"):
         second_derivative_identity(f, varying_pi, 0.2, Regime.INHOMOGENEOUS_D, rows)
+
+
+@pytest.mark.parametrize("field", ["diffusion", "mobility"])
+def test_every_consumer_classifies_a_nearly_constant_coefficient_alike(field):
+    # 1 + 1e-13 sin(pi x) is not constant, however small its spread: the
+    # identity, the oracle and the solver all read that from the
+    # Discretization, so none of them accepts it as constant D or unit pi.
+    grid = build_grid(1, 30, Boundary.PERIODIC)
+    f = random_density(grid, 1)
+    rows = [(0.1, 1.0), (0.2, 0.9), (0.3, 0.85)]
+    ripple = lambda x, *t: 1.0 + 1e-13 * np.sin(np.pi * x)  # noqa: E731
+    slope = lambda x, *t: 1e-13 * np.pi * np.cos(np.pi * x)  # noqa: E731
+    pset = build_parameter_set(1, "D:homogeneous", 30, mobility_ref="pi:unit")
+    if field == "diffusion":
+        pset = replace(pset, diffusion=DiffusionField(ripple, (slope,)))
+        what, unmet = "constant diffusion", [Regime.HOMOGENEOUS]
+    else:
+        pset = replace(pset, mobility=MobilityField(ripple, (slope,), lambda x, t: 0.0 * x))
+        what, unmet = "unit mobility", [Regime.HOMOGENEOUS, Regime.INHOMOGENEOUS_D]
+    for regime in Regime:
+        if regime in unmet:
+            with pytest.raises(ValueError, match=f"requires {what}, which does not hold"):
+                second_derivative_identity(f, pset, 0.2, regime, rows)
+        else:
+            assert np.isfinite(second_derivative_identity(f, pset, 0.2, regime, rows).rhs)
+    with pytest.raises(ValueError, match=f"requires {what}$"):
+        build_linear_operator(pset, grid)
+    disc = pset.discretize(grid)
+    assert (disc.linear, disc.unit_mobility()) == (field != "diffusion", field != "mobility")
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("boundary", [Boundary.PERIODIC, Boundary.NOFLUX])
+def test_identity_rhs_is_one_expansion_for_constant_diffusion_and_unit_mobility(dim, boundary):
+    # The diffusion-gradient and mobility terms are exact zeros here, so
+    # every regime's rhs is the homogeneous expansion to the bit.
+    grid = build_grid(dim, 12, boundary)
+    pset = build_parameter_set(dim, "D:homogeneous", 12, mobility_ref="pi:unit")
+    f = random_density(grid, dim)
+    rows = [(0.1, 1.0), (0.2, 0.9), (0.3, 0.85)]
+    rhs = {second_derivative_identity(f, pset, 0.2, regime, rows).rhs.hex() for regime in Regime}
+    assert len(rhs) == 1
 
 
 @pytest.mark.parametrize("field, derivative, broken", [

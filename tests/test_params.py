@@ -385,6 +385,19 @@ def test_discretization_is_memoized_and_read_only(boundary):
     assert alive() is None
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_discretization_decides_linearity_unit_mobility_and_krylov(dim):
+    grid = build_grid(dim, 8, Boundary.NOFLUX)
+    for diffusion, mobility, linear, unit in [
+        ("D:homogeneous", "pi:unit", True, True),
+        ("D:homogeneous", "pi:standard", True, False),
+        ("D:single", "pi:unit", False, True),
+    ]:
+        disc = build_parameter_set(dim, diffusion, 8, mobility_ref=mobility).discretize(grid)
+        assert (disc.linear, disc.unit_mobility(), disc.krylov) == (linear, unit, dim == 3)
+        assert disc.jacobian(disc.dD, disc.dD, 1.0).format == ("csr" if disc.krylov else "csc")
+
+
 def test_discretized_parameter_set_keeps_equality_hash_and_repr():
     a = build_parameter_set(1, "D:single", 16)
     b = ParameterSet(a.potential, a.diffusion, a.mobility, name=a.name)
